@@ -18,26 +18,23 @@ import sys
 from dataclasses import dataclass
 
 from . import oracle
-from .configurations import (
-    Configuration,
-    components_with_configurations,
-    detect_configurations,
-    lie_generator,
-)
+from .configurations import Configuration, analyze, detect_configurations, lie_generator
 from .errors import ConsistencyError, ConstraintError, GraphParseError
 from .graphs import (
     FAMILIES,
     Graph,
-    connected_components,
     encode_edge_list,
     encode_graph6,
     generate,
-    is_connected,
     parse_edge_list,
     parse_graph6,
 )
-from .pauli import DEFAULT_BRUTE_CAP, g2_rank, low_weight_elements
+from .pauli import DEFAULT_BRUTE_CAP, low_weight_elements
 from .theorem import check_equivalence
+
+# Hard ceilings on the user-raisable caps: both routes cost 2**n time and memory.
+ORACLE_CEILING = 20
+BRUTE_CEILING = 28
 
 
 class UsageError(Exception):
@@ -111,6 +108,14 @@ def format_report(report: AnalysisReport, mode: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _generate(args) -> Graph:
+    if args.family == "gnp" and args.p is None:
+        raise UsageError("family gnp requires --p")
+    if args.family != "gnp" and args.p is not None:
+        raise UsageError(f"--p only applies to family gnp, not {args.family}")
+    return generate(args.family, args.n, p=args.p, seed=args.seed)
+
+
 def _load_graph(args) -> tuple[Graph, str, str]:
     chosen = [
         name
@@ -131,12 +136,7 @@ def _load_graph(args) -> tuple[Graph, str, str]:
         return parse_graph6(args.graph6), "graph6", args.graph6
     if args.n is None:
         raise UsageError("--family requires --n")
-    if args.family == "gnp":
-        if args.p is None:
-            raise UsageError("family gnp requires --p")
-    elif args.p is not None:
-        raise UsageError(f"--p only applies to family gnp, not {args.family}")
-    g = generate(args.family, args.n, p=args.p, seed=args.seed)
+    g = _generate(args)
     detail = f"n={args.n}"
     if args.p is not None:
         detail += f",p={args.p}"
@@ -153,67 +153,33 @@ def _build_report(
     with_oracle: bool,
     oracle_cap: int,
 ) -> AnalysisReport:
-    connected = is_connected(g)
+    analysis = analyze(g)
     if components:
-        return _components_report(
-            g, source_format, source_name, connected, with_oracle, oracle_cap
-        )
-    if not connected:
+        # The component extension is only empirically gated, so cross-check the
+        # oracle whenever it is in reach.
+        nullity = None
+        if with_oracle:
+            nullity = oracle.local_algebra_nullity(g, cap=oracle_cap)
+        elif g.n <= oracle.DEFAULT_ORACLE_CAP:
+            nullity = oracle.local_algebra_nullity(g)
+    elif not analysis.connected:
         raise ConstraintError("graph is disconnected; pass --components to sum per component")
-    rep = check_equivalence(g, with_oracle=with_oracle, oracle_cap=oracle_cap)
+    else:
+        rep = check_equivalence(g, with_oracle, oracle_cap=oracle_cap, analysis=analysis)
+        nullity = rep.oracle_nullity
     return AnalysisReport(
         n=g.n,
         m=g.m,
-        connected=True,
-        configurations=detect_configurations(g),
-        dimension=rep.dimension,
-        g2=rep.g2,
-        theorem_holds=rep.holds,
-        oracle_nullity=rep.oracle_nullity,
-        oracle_agrees=rep.oracle_agrees,
-        source_format=source_format,
-        source_name=source_name,
-        components_mode=False,
-    )
-
-
-def _components_report(
-    g: Graph,
-    source_format: str,
-    source_name: str,
-    connected: bool,
-    with_oracle: bool,
-    oracle_cap: int,
-) -> AnalysisReport:
-    dimension, configs = components_with_configurations(g)
-    g2 = 0
-    for comp in connected_components(g):
-        if len(comp) == 1:
-            g2 += 1
-        else:
-            sub = g.induced_subgraph(comp)
-            g2 += g2_rank(e for e, _ in low_weight_elements(sub, mode="fast"))
-    # The component extension is only empirically gated, so cross-check the
-    # oracle whenever it is in reach.
-    nullity = None
-    if with_oracle:
-        nullity = oracle.local_algebra_nullity(g, cap=oracle_cap)
-    elif g.n <= oracle.DEFAULT_ORACLE_CAP:
-        nullity = oracle.local_algebra_nullity(g)
-    agrees = None if nullity is None else nullity == dimension
-    return AnalysisReport(
-        n=g.n,
-        m=g.m,
-        connected=connected,
-        configurations=configs,
-        dimension=dimension,
-        g2=g2,
-        theorem_holds=dimension == g2,
+        connected=analysis.connected,
+        configurations=analysis.configurations,
+        dimension=analysis.dimension,
+        g2=analysis.g2,
+        theorem_holds=analysis.dimension == analysis.g2,
         oracle_nullity=nullity,
-        oracle_agrees=agrees,
+        oracle_agrees=None if nullity is None else nullity == analysis.dimension,
         source_format=source_format,
         source_name=source_name,
-        components_mode=True,
+        components_mode=components,
     )
 
 
@@ -232,6 +198,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.oracle_max_n > ORACLE_CEILING:
+        raise ConstraintError(f"--oracle-max-n has a hard ceiling of {ORACLE_CEILING}")
     g, fmt, name = _load_graph(args)
     if g.n > args.oracle_max_n:
         raise ConstraintError(f"oracle cap is n={args.oracle_max_n}, got n={g.n}")
@@ -241,6 +209,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.enumerate_max_n > BRUTE_CEILING:
+        raise ConstraintError(f"--enumerate-max-n has a hard ceiling of {BRUTE_CEILING}")
     g, _, _ = _load_graph(args)
     modes = ("brute", "fast") if args.mode == "both" else (args.mode,)
     if "brute" in modes and g.n > args.enumerate_max_n:
@@ -258,11 +228,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_gen(args) -> int:
     if args.family is None or args.n is None:
         raise UsageError("gen requires --family and --n")
-    if args.family == "gnp" and args.p is None:
-        raise UsageError("family gnp requires --p")
-    if args.family != "gnp" and args.p is not None:
-        raise UsageError(f"--p only applies to family gnp, not {args.family}")
-    g = generate(args.family, args.n, p=args.p, seed=args.seed)
+    g = _generate(args)
     if args.format == "graph6":
         sys.stdout.write(encode_graph6(g) + "\n")
     else:

@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstraintError
-from .graphs import Graph, connected_components, is_connected
-from .pauli import PauliString
+from .graphs import Graph, is_connected, twin_classes
+from .pauli import PauliString, fast_exponents, g2_rank
 
 TWIN = "twin"
 LEAF = "leaf"
 CLOSED_TWIN = "closed_twin"
-
-_KIND_ORDER = {TWIN: 0, LEAF: 1, CLOSED_TWIN: 2}
 
 
 @dataclass(frozen=True)
@@ -42,30 +40,57 @@ class SlotPair:
         return f"{self.p[1]}({self.p[0]})-{self.q[1]}({self.q[0]})"
 
 
-def _require_core_input(g: Graph) -> None:
-    if g.n < 2:
-        raise ConstraintError(f"need n >= 2, got n={g.n}")
-    if not is_connected(g):
+@dataclass(frozen=True)
+class Analysis:
+    """The fast path's result: one connectivity pass, one twin-class pass.
+
+    ``dimension`` and ``g2`` come from the same twin classes, so their
+    agreement is no independent check (brute enumeration and the oracle are).
+    A disconnected graph gets component sums, each isolated vertex adding 1;
+    only the oracle backs that extension, as the theory covers connected graphs.
+    """
+
+    n: int
+    connected: bool
+    configurations: list[Configuration]
+    dimension: int
+    g2: int
+
+
+def analyze(g: Graph) -> Analysis:
+    """Configurations, dimension and g2 of any graph in O(n + m + output)."""
+    leaves, open_classes, closed_classes = twin_classes(g)
+    leaf_configs = [Configuration(LEAF, a, g.adj[a].bit_length() - 1) for a in leaves]
+    pairs = {}
+    # A class of k vertices spans the same slots as a chain of k - 1 of its
+    # pairs, so the union-find never needs the Theta(k^2) pair list.
+    chains = list(leaf_configs)
+    for kind, classes in ((TWIN, open_classes), (CLOSED_TWIN, closed_classes)):
+        found = sorted((a, b) for c in classes for i, a in enumerate(c) for b in c[i + 1:])
+        pairs[kind] = [Configuration(kind, a, b) for a, b in found]
+        chains += [Configuration(kind, a, b) for c in classes for a, b in zip(c, c[1:])]
+    isolated = g.adj.count(0)
+    return Analysis(
+        n=g.n,
+        connected=is_connected(g),
+        configurations=pairs[TWIN] + leaf_configs + pairs[CLOSED_TWIN],
+        dimension=isolated + slot_span_rank(lie_generator(c) for c in chains),
+        g2=isolated + g2_rank(fast_exponents(leaves, open_classes, closed_classes)),
+    )
+
+
+def require_core_input(a: Analysis) -> Analysis:
+    """``a``, if the core theory covers its graph (connected, n >= 2)."""
+    if a.n < 2:
+        raise ConstraintError(f"need n >= 2, got n={a.n}")
+    if not a.connected:
         raise ConstraintError("graph is disconnected; analyze per component instead")
+    return a
 
 
 def detect_configurations(g: Graph) -> list[Configuration]:
     """Every twin pair, degree-1 vertex, and closed-twin pair, in kind order."""
-    _require_core_input(g)
-    twins = []
-    leaves = []
-    closed = []
-    for a in range(g.n):
-        if g.degree(a) == 1:
-            leaves.append(Configuration(LEAF, a, g.adj[a].bit_length() - 1))
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if g.has_edge(a, b):
-                if (g.adj[a] | 1 << a) == (g.adj[b] | 1 << b):
-                    closed.append(Configuration(CLOSED_TWIN, a, b))
-            elif g.adj[a] == g.adj[b]:
-                twins.append(Configuration(TWIN, a, b))
-    return twins + leaves + closed
+    return require_core_input(analyze(g)).configurations
 
 
 def lie_generator(c: Configuration) -> SlotPair:
@@ -108,7 +133,7 @@ def slot_span_rank(pairs) -> int:
 
 def stabilizer_dimension(g: Graph) -> int:
     """Dimension of the local-unitary stabilizer algebra of the graph state."""
-    return slot_span_rank(lie_generator(c) for c in detect_configurations(g))
+    return require_core_input(analyze(g)).dimension
 
 
 def corresponding_stabilizer_element(c: Configuration, n: int) -> PauliString:
@@ -124,33 +149,11 @@ def corresponding_stabilizer_element(c: Configuration, n: int) -> PauliString:
 
 
 def stabilizer_dimension_components(g: Graph) -> int:
-    """Extension for disconnected inputs: per-component sum, isolated vertices count 1.
-
-    Each single-vertex component is a bare |+> state with a one-parameter
-    stabilizing algebra. Cross-checked against the exact oracle in tests; the
-    core theory only covers the connected case.
-    """
-    total = 0
-    for comp in connected_components(g):
-        if len(comp) == 1:
-            total += 1
-        else:
-            total += stabilizer_dimension(g.induced_subgraph(comp))
-    return total
+    """Extension for disconnected inputs: per-component sum, isolated vertices count 1."""
+    return analyze(g).dimension
 
 
 def components_with_configurations(g: Graph) -> tuple[int, list[Configuration]]:
     """Component-sum dimension plus all configurations in global vertex labels."""
-    total = 0
-    configs: list[Configuration] = []
-    for comp in connected_components(g):
-        if len(comp) == 1:
-            total += 1
-            continue
-        sub = g.induced_subgraph(comp)
-        total += stabilizer_dimension(sub)
-        configs += [
-            Configuration(c.kind, comp[c.a], comp[c.b]) for c in detect_configurations(sub)
-        ]
-    configs.sort(key=lambda c: (_KIND_ORDER[c.kind], c.a, c.b))
-    return total, configs
+    a = analyze(g)
+    return a.dimension, a.configurations

@@ -256,6 +256,28 @@ def connected_components(g: Graph) -> list[list[int]]:
     return components
 
 
+def twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Degree-1 vertices, then classes of >= 2 vertices with equal rows
+    ``adj[a]`` (open twins) and with equal ``adj[a] | 1 << a`` (closed twins).
+
+    All lists ascend. Isolated vertices share the empty row but are no twins,
+    so they are left out; no other vertices of two components share a row.
+    """
+    leaves = []
+    by_open: dict[int, list[int]] = {}
+    by_closed: dict[int, list[int]] = {}
+    for a, row in enumerate(g.adj):
+        if not row:
+            continue
+        if row.bit_count() == 1:
+            leaves.append(a)
+        by_open.setdefault(row, []).append(a)
+        by_closed.setdefault(row | 1 << a, []).append(a)
+    open_classes = [c for c in by_open.values() if len(c) > 1]
+    closed_classes = [c for c in by_closed.values() if len(c) > 1]
+    return leaves, open_classes, closed_classes
+
+
 class XorShift64Star:
     """xorshift64* generator; update equations in the module docstring."""
 

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
-from .configurations import SlotPair, detect_configurations, slot_span_rank, stabilizer_dimension
+from .configurations import (
+    Analysis, SlotPair, analyze, detect_configurations, require_core_input, slot_span_rank,
+)
 from .errors import ConsistencyError, ConstraintError
 from .graphs import Graph, bit_indices
 from .oracle import DEFAULT_ORACLE_CAP, CoefficientVector
@@ -35,15 +37,23 @@ def check_equivalence(
     element_mode: str = "fast",
     brute_cap: int = DEFAULT_BRUTE_CAP,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
+    analysis: Analysis | None = None,
 ) -> EquivalenceReport:
     """Compute dimension and g2 (and optionally the oracle nullity) on one graph.
 
     A dimension/g2 mismatch on n >= 3 raises ConsistencyError: that would
     falsify the implementation, not the input. The n = 2 mismatch (3 vs 2)
     is expected and only reported.
+
+    In fast mode ``dimension`` and ``g2`` come from one detection pass
+    (``analysis``, computed unless given), so that gate is not independent;
+    ``element_mode="brute"`` and the oracle are.
     """
-    dimension = stabilizer_dimension(g)
-    g2 = g2_rank(e for e, _ in low_weight_elements(g, mode=element_mode, cap=brute_cap))
+    analysis = require_core_input(analyze(g) if analysis is None else analysis)
+    g2 = analysis.g2
+    if element_mode != "fast":
+        g2 = g2_rank(e for e, _ in low_weight_elements(g, mode=element_mode, cap=brute_cap))
+    dimension = analysis.dimension
     holds = dimension == g2
     if g.n >= 3 and not holds:
         raise ConsistencyError(

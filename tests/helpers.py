@@ -1,4 +1,4 @@
-"""Shared corpus builders and strategies for the test suite."""
+"""Shared corpus builders, strategies and reference implementations for the test suite."""
 
 from __future__ import annotations
 
@@ -6,7 +6,16 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from stabdim.graphs import Graph, generate, is_connected
+from stabdim.configurations import (
+    CLOSED_TWIN,
+    LEAF,
+    TWIN,
+    Configuration,
+    lie_generator,
+    slot_span_rank,
+)
+from stabdim.graphs import Graph, connected_components, generate, is_connected
+from stabdim.pauli import PauliString, g2_rank, graph_generators, multiply
 
 _PAIR_CACHE: dict[int, list[tuple[int, int]]] = {}
 
@@ -101,3 +110,58 @@ def coefficient_vector_row(cv) -> list[Fraction]:
     for triple in cv.t:
         row.extend(triple)
     return row
+
+
+def reference_configurations(g: Graph) -> list[Configuration]:
+    """O(n^2) pair-scan detector: every twin pair, leaf and closed-twin pair, in kind order."""
+    twins, leaves, closed = [], [], []
+    for a in range(g.n):
+        if g.degree(a) == 1:
+            leaves.append(Configuration(LEAF, a, g.adj[a].bit_length() - 1))
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            if g.has_edge(a, b):
+                if (g.adj[a] | 1 << a) == (g.adj[b] | 1 << b):
+                    closed.append(Configuration(CLOSED_TWIN, a, b))
+            elif g.adj[a] == g.adj[b]:
+                twins.append(Configuration(TWIN, a, b))
+    return twins + leaves + closed
+
+
+def reference_fast_elements(g: Graph) -> list[tuple[int, PauliString]]:
+    """O(n^2) pair scan for the weight-<=2 elements: leaves and twin products."""
+    gens = graph_generators(g)
+    out = [(1 << a, gens[a]) for a in range(g.n) if g.degree(a) == 1]
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            if g.has_edge(a, b):
+                same = (g.adj[a] | 1 << a) == (g.adj[b] | 1 << b)
+            else:
+                same = g.adj[a] == g.adj[b]
+            if same:
+                out.append(((1 << a) | (1 << b), multiply(gens[a], gens[b])))
+    out.sort(key=lambda pair: pair[0])
+    return out
+
+
+def reference_analysis(g: Graph) -> tuple[list[Configuration], int, int]:
+    """(configurations, dimension, g2) of any graph, component by component.
+
+    Each component of >= 2 vertices is cut out with ``induced_subgraph`` and
+    scanned pair by pair; each isolated vertex counts 1 towards dimension and
+    g2. Configurations come back in global labels, sorted by kind then (a, b).
+    """
+    kind_order = {TWIN: 0, LEAF: 1, CLOSED_TWIN: 2}
+    configs, dimension, g2 = [], 0, 0
+    for comp in connected_components(g):
+        if len(comp) == 1:
+            dimension += 1
+            g2 += 1
+            continue
+        sub = g.induced_subgraph(comp)
+        found = reference_configurations(sub)
+        dimension += slot_span_rank(lie_generator(c) for c in found)
+        g2 += g2_rank(e for e, _ in reference_fast_elements(sub))
+        configs += [Configuration(c.kind, comp[c.a], comp[c.b]) for c in found]
+    configs.sort(key=lambda c: (kind_order[c.kind], c.a, c.b))
+    return configs, dimension, g2

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stabdim import oracle
+from stabdim import cli, oracle
 from stabdim.cli import run
 
 
@@ -196,6 +196,54 @@ class TestGen:
         _, first, _ = run_capture(capsys, argv)
         _, second, _ = run_capture(capsys, argv)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["gen", "--family", "path"], "gen requires --family and --n"),
+            (["gen", "--family", "gnp", "--n", "4"], "family gnp requires --p"),
+            (["gen", "--family", "path", "--n", "4", "--p", "0.5"],
+             "--p only applies to family gnp, not path"),
+            (["analyze", "--family", "star"], "--family requires --n"),
+            (["analyze", "--family", "gnp", "--n", "4"], "family gnp requires --p"),
+            (["analyze", "--family", "path", "--n", "4", "--p", "0.5"],
+             "--p only applies to family gnp, not path"),
+        ],
+    )
+    def test_family_validation_messages(self, capsys, argv, message):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
+class TestCeilings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--graph6", "A_", "--oracle-max-n", "21"],
+            ["verify", "--family", "path", "--n", "40", "--oracle-max-n", "40"],
+            ["enumerate", "--graph6", "A_", "--enumerate-max-n", "29"],
+            ["enumerate", "--family", "path", "--n", "40", "--mode", "brute",
+             "--enumerate-max-n", "40"],
+        ],
+    )
+    def test_refused_before_any_graph_work(self, capsys, monkeypatch, argv):
+        def no_graph_work(args):
+            raise AssertionError("graph loaded despite the ceiling")
+
+        monkeypatch.setattr(cli, "_load_graph", no_graph_work)
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("constraint violation:") and "ceiling" in err
+
+    def test_ceilings_themselves_are_accepted(self, capsys):
+        code, out, _ = run_capture(
+            capsys, ["verify", "--graph6", "A_", "--oracle-max-n", str(cli.ORACLE_CEILING)]
+        )
+        assert code == 0 and "oracle_agrees: yes" in out
+        code, out, _ = run_capture(
+            capsys, ["enumerate", "--graph6", "A_", "--enumerate-max-n", str(cli.BRUTE_CEILING)]
+        )
+        assert code == 0 and len(out.splitlines()) == 3
 
 
 class TestSelftest:

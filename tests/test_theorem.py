@@ -1,5 +1,7 @@
 """Cross-route equivalence reports and the two support-structure properties."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -40,13 +42,18 @@ class TestCheckEquivalence:
         with pytest.raises(ConstraintError):
             check_equivalence(Graph.from_edges(3, [(0, 1)]))
 
+    @staticmethod
+    def _break_dimension(monkeypatch):
+        real = theorem.analyze
+        monkeypatch.setattr(theorem, "analyze", lambda g: replace(real(g), dimension=99))
+
     def test_mismatch_raises_for_n_at_least_3(self, monkeypatch):
-        monkeypatch.setattr(theorem, "stabilizer_dimension", lambda g: 99)
+        self._break_dimension(monkeypatch)
         with pytest.raises(ConsistencyError):
             check_equivalence(generate("star", 4))
 
     def test_mismatch_at_n2_only_reported(self, monkeypatch):
-        monkeypatch.setattr(theorem, "stabilizer_dimension", lambda g: 99)
+        self._break_dimension(monkeypatch)
         rep = check_equivalence(generate("complete", 2))
         assert rep.holds is False
 
