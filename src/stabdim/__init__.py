@@ -34,7 +34,6 @@ from .graphs import (
 from .oracle import (
     CoefficientVector,
     ExactStateVector,
-    annihilates,
     apply_pauli,
     build_statevector,
     is_stabilized,
@@ -74,7 +73,6 @@ __all__ = [
     "GraphParseError",
     "PauliString",
     "SlotPair",
-    "annihilates",
     "apply_pauli",
     "build_statevector",
     "check_correspondence",

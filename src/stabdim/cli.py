@@ -165,7 +165,12 @@ def _build_report(
     elif not analysis.connected:
         raise ConstraintError("graph is disconnected; pass --components to sum per component")
     else:
-        rep = check_equivalence(g, with_oracle, oracle_cap=oracle_cap, analysis=analysis)
+        try:
+            rep = check_equivalence(g, with_oracle, oracle_cap=oracle_cap, analysis=analysis)
+        except ConsistencyError as exc:
+            nullity = oracle.local_algebra_nullity(g, cap=oracle_cap) if with_oracle else None
+            detail = _reproduction(g, analysis.dimension, analysis.g2, nullity)
+            raise ConsistencyError(f"{exc} ({detail})") from None
         nullity = rep.oracle_nullity
     return AnalysisReport(
         n=g.n,
@@ -183,18 +188,33 @@ def _build_report(
     )
 
 
-def _emit(report: AnalysisReport, fmt: str) -> None:
+def _reproduction(g: Graph, dimension: int, g2: int, nullity: int | None) -> str:
+    """Each route's value plus, when it fits, the input as graph6."""
+    shown = "not-run" if nullity is None else nullity
+    detail = f"dimension={dimension} g2={g2} oracle_nullity={shown}"
+    if g.n <= 62:
+        detail += f" graph6={encode_graph6(g)}"
+    return detail
+
+
+def _emit(g: Graph, report: AnalysisReport, fmt: str) -> int:
+    """Write the report to stdout; an oracle disagreement then raises (exit 4)."""
     text = format_report(report, fmt)
     if fmt == "machine":
         text += "\n"
     sys.stdout.write(text)
+    if report.oracle_agrees is False:
+        detail = _reproduction(g, report.dimension, report.g2, report.oracle_nullity)
+        raise ConsistencyError(
+            f"oracle nullity {report.oracle_nullity} != dimension {report.dimension} ({detail})"
+        )
+    return 0
 
 
 def _cmd_analyze(args) -> int:
     g, fmt, name = _load_graph(args)
     report = _build_report(g, fmt, name, args.components, False, oracle.DEFAULT_ORACLE_CAP)
-    _emit(report, args.format)
-    return 4 if report.oracle_agrees is False else 0
+    return _emit(g, report, args.format)
 
 
 def _cmd_verify(args) -> int:
@@ -204,8 +224,7 @@ def _cmd_verify(args) -> int:
     if g.n > args.oracle_max_n:
         raise ConstraintError(f"oracle cap is n={args.oracle_max_n}, got n={g.n}")
     report = _build_report(g, fmt, name, args.components, True, args.oracle_max_n)
-    _emit(report, args.format)
-    return 4 if report.oracle_agrees is False else 0
+    return _emit(g, report, args.format)
 
 
 def _cmd_enumerate(args) -> int:

@@ -8,7 +8,8 @@ Two text formats are supported:
 
 * DIMACS-like edge lists: ``c`` comment lines, exactly one ``p edge <n> <m>``
   line (first non-comment line), then exactly ``m`` lines ``e <u> <v>`` with
-  1-based endpoints, ``u != v``, no duplicates.
+  1-based endpoints, ``u != v``, no duplicates. ``n`` above
+  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line.
 * graph6, one-byte size form only (1 <= n <= 62): printable bytes 63..126
   carrying 6 bits each, upper-triangle adjacency bits in column-major order
   (0,1), (0,2), (1,2), (0,3), ...  The multi-byte size forms (leading byte
@@ -35,6 +36,10 @@ GRAPH6_HEADER = ">>graph6<<"
 FAMILIES = ("path", "cycle", "star", "complete", "tree", "gnp")
 
 _MASK64 = (1 << 64) - 1
+
+# Largest edge-list vertex count: bit-row adjacency takes up to n**2 / 8 bytes,
+# 512 MiB here, and rows are allocated before any edge is read.
+EDGE_LIST_MAX_N = 1 << 16
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -140,6 +145,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: non-integer counts in 'p' line") from None
             if n < 1 or m < 0:
                 raise GraphParseError(f"line {lineno}: need n >= 1 and m >= 0")
+            if n > EDGE_LIST_MAX_N:
+                raise ConstraintError(
+                    f"line {lineno}: edge lists cap at n={EDGE_LIST_MAX_N}, got n={n}"
+                )
         elif kind == "e":
             if n is None:
                 raise GraphParseError(f"line {lineno}: 'e' line before 'p' line")

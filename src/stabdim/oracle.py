@@ -9,11 +9,19 @@ t_az) with ``(theta + sum_a t_a . sigma_a) |psi> = 0``. Its matrix has the
 3n+1 columns [v0 | X_a v0 | Y_a v0 | Z_a v0]; splitting complex rows into
 real and imaginary blocks gives an integer matrix whose rank over the
 rationals we need. For a graph state every column is a +-1 vector (real for
-theta/X/Z, imaginary for Y), so each column packs into a sign bitmask and
-every Gram inner product is one XOR plus a popcount. The rank and nullspace
-are then read off the two small Gram blocks G = A^T A (real columns and
-imaginary columns never mix), using fraction-free Bareiss elimination on
-integers; rank(A^T A) = rank(A) holds exactly over the rationals.
+theta/X/Z, imaginary for Y), so each column packs into a 2**n-bit sign mask
+(bit y set iff amplitude y is negative). The masks are built directly with
+big-int operations from the graph's edges, never amplitude by amplitude:
+v0 is the XOR over edges (u, v) of the masks "bits u and v of y are set",
+Z_a flips the signs where bit a of y is set, and X_a swaps the blocks of
+2**a amplitudes that differ in bit a. Every Gram inner product is then one
+XOR plus a popcount. The rank and nullspace are read off the two small Gram
+blocks G = A^T A (real columns and imaginary columns never mix), using
+fraction-free Bareiss elimination on integers; rank(A^T A) = rank(A) holds
+exactly over the rationals.
+
+``build_statevector``, ``apply_pauli`` and ``is_stabilized`` are the
+amplitude-level API; the nullity route does not use them.
 """
 
 from __future__ import annotations
@@ -148,28 +156,38 @@ def _nullspace(rows, ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def _sign_mask(values) -> int:
-    # Pack a +-1 vector into an int with bit y set iff entry y is negative.
-    mask = 0
-    for y, a in enumerate(values):
-        if a < 0:
-            mask |= 1 << y
-    return mask
+def _bit_pattern(n: int, a: int) -> int:
+    """2**n-bit mask with bit y set iff bit a of y is set."""
+    half = 1 << a
+    pattern = ((1 << half) - 1) << half
+    width = half << 1
+    while width < 1 << n:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern
 
 
 def _gram_blocks(g: Graph, cap: int) -> tuple[list[list[int]], list[list[int]]]:
     """Gram matrices of the real [theta, X_a, Z_a] and imaginary [Y_a] column blocks."""
-    v0 = build_statevector(g, cap)
-    size = 1 << g.n
-    real_masks = [_sign_mask(v0.re)]
-    imag_masks = []
-    for axis in ("X", "Z"):
-        for a in range(g.n):
-            col = apply_pauli(PauliString.single(g.n, a, axis), v0)
-            real_masks.append(_sign_mask(col.re))
-    for a in range(g.n):
-        col = apply_pauli(PauliString.single(g.n, a, "Y"), v0)
-        imag_masks.append(_sign_mask(col.im))
+    if g.n > cap:
+        raise ConstraintError(f"statevector oracle caps at n={cap}, got n={g.n}")
+    n = g.n
+    size = 1 << n
+    full = (1 << size) - 1
+    bit_set = [_bit_pattern(n, a) for a in range(n)]
+    v0 = 0
+    for u, v in g.edges():
+        v0 ^= bit_set[u] & bit_set[v]
+
+    def flip(m: int, a: int) -> int:
+        # X_a: amplitude y moves to y ^ 2**a.
+        shift = 1 << a
+        return ((m & bit_set[a]) >> shift) | ((m & ~bit_set[a] & full) << shift)
+
+    z_masks = [v0 ^ bit_set[a] for a in range(n)]
+    real_masks = [v0] + [flip(v0, a) for a in range(n)] + z_masks
+    # Y_a = i X_a Z_a, so on a real state its column is imaginary.
+    imag_masks = [flip(z_masks[a], a) for a in range(n)]
 
     def gram(masks):
         k = len(masks)
@@ -204,25 +222,3 @@ def nullspace_basis(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> list[Coefficient
         t = tuple((zero, vec[a], zero) for a in range(n))
         basis.append(CoefficientVector(zero, t))
     return basis
-
-
-def algebra_action(cv: CoefficientVector, v: ExactStateVector):
-    """Apply theta + sum_a (t . sigma_a) to v; returns exact (re, im) Fraction lists."""
-    size = 1 << v.n
-    acc_re = [cv.theta * a for a in v.re]
-    acc_im = [cv.theta * b for b in v.im]
-    for a, (tx, ty, tz) in enumerate(cv.t):
-        for coeff, axis in ((tx, "X"), (ty, "Y"), (tz, "Z")):
-            if coeff == 0:
-                continue
-            w = apply_pauli(PauliString.single(v.n, a, axis), v)
-            for y in range(size):
-                acc_re[y] += coeff * w.re[y]
-                acc_im[y] += coeff * w.im[y]
-    return acc_re, acc_im
-
-
-def annihilates(cv: CoefficientVector, v: ExactStateVector) -> bool:
-    """True iff the algebra element maps v to the exact zero vector."""
-    acc_re, acc_im = algebra_action(cv, v)
-    return not any(acc_re) and not any(acc_im)

@@ -15,6 +15,7 @@ from stabdim.configurations import (
     slot_span_rank,
 )
 from stabdim.graphs import Graph, connected_components, generate, is_connected
+from stabdim.oracle import DEFAULT_ORACLE_CAP, apply_pauli, build_statevector
 from stabdim.pauli import PauliString, g2_rank, graph_generators, multiply
 
 _PAIR_CACHE: dict[int, list[tuple[int, int]]] = {}
@@ -165,3 +166,67 @@ def reference_analysis(g: Graph) -> tuple[list[Configuration], int, int]:
         configs += [Configuration(c.kind, comp[c.a], comp[c.b]) for c in found]
     configs.sort(key=lambda c: (kind_order[c.kind], c.a, c.b))
     return configs, dimension, g2
+
+
+def local_complement(g: Graph, v: int) -> Graph:
+    """Graph with the edges among the neighbours of v toggled (local complementation at v)."""
+    nbrs = g.adj[v]
+    rows = [row ^ (nbrs & ~(1 << u)) if (nbrs >> u) & 1 else row for u, row in enumerate(g.adj)]
+    return Graph(g.n, tuple(rows))
+
+
+def algebra_action(cv, v):
+    """Apply theta + sum_a (t . sigma_a) to v; returns exact (re, im) Fraction lists."""
+    size = 1 << v.n
+    acc_re = [cv.theta * a for a in v.re]
+    acc_im = [cv.theta * b for b in v.im]
+    for a, (tx, ty, tz) in enumerate(cv.t):
+        for coeff, axis in ((tx, "X"), (ty, "Y"), (tz, "Z")):
+            if coeff == 0:
+                continue
+            w = apply_pauli(PauliString.single(v.n, a, axis), v)
+            for y in range(size):
+                acc_re[y] += coeff * w.re[y]
+                acc_im[y] += coeff * w.im[y]
+    return acc_re, acc_im
+
+
+def annihilates(cv, v) -> bool:
+    """True iff the algebra element maps v to the exact zero vector."""
+    acc_re, acc_im = algebra_action(cv, v)
+    return not any(acc_re) and not any(acc_im)
+
+
+def _sign_mask(values) -> int:
+    # Pack a +-1 vector into an int with bit y set iff entry y is negative.
+    mask = 0
+    for y, a in enumerate(values):
+        if a < 0:
+            mask |= 1 << y
+    return mask
+
+
+def reference_gram_blocks(g: Graph, cap: int = DEFAULT_ORACLE_CAP):
+    """Per-amplitude Gram blocks: apply_pauli on the statevector, then pack each column."""
+    v0 = build_statevector(g, cap)
+    size = 1 << g.n
+    real_masks = [_sign_mask(v0.re)]
+    imag_masks = []
+    for axis in ("X", "Z"):
+        for a in range(g.n):
+            col = apply_pauli(PauliString.single(g.n, a, axis), v0)
+            real_masks.append(_sign_mask(col.re))
+    for a in range(g.n):
+        col = apply_pauli(PauliString.single(g.n, a, "Y"), v0)
+        imag_masks.append(_sign_mask(col.im))
+
+    def gram(masks):
+        k = len(masks)
+        out = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                dot = size - 2 * (masks[i] ^ masks[j]).bit_count()
+                out[i][j] = out[j][i] = dot
+        return out
+
+    return gram(real_masks), gram(imag_masks)

@@ -1,5 +1,6 @@
 """CLI surface: sources, reports, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -127,12 +128,49 @@ class TestVerify:
         assert json.loads(out)["oracle_nullity"] == 14
 
     def test_oracle_disagreement_exits_4(self, capsys, monkeypatch):
+        argv = ["verify", "--family", "star", "--n", "5", "--format", "machine"]
+        _, expected_out, _ = run_capture(capsys, argv)
         monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g, cap=14: 99)
-        code, out, _ = run_capture(
-            capsys, ["verify", "--family", "star", "--n", "5", "--format", "machine"]
-        )
+        code, out, err = run_capture(capsys, argv)
         assert code == 4
         assert json.loads(out)["oracle_agrees"] is False
+        assert out == expected_out.replace('"oracle_nullity":4,"oracle_agrees":true',
+                                           '"oracle_nullity":99,"oracle_agrees":false')
+        assert err == (
+            "internal consistency failure: oracle nullity 99 != dimension 4 "
+            "(dimension=4 g2=4 oracle_nullity=99 graph6=Ds_)\n"
+        )
+
+    @pytest.mark.parametrize("command,nullity", [("analyze", "not-run"), ("verify", "4")])
+    def test_route_mismatch_names_the_input(self, capsys, monkeypatch, command, nullity):
+        real = cli.analyze
+        monkeypatch.setattr(cli, "analyze", lambda g: dataclasses.replace(real(g), dimension=99))
+        code, out, err = run_capture(capsys, [command, "--graph6", "Ds_"])
+        assert (code, out) == (4, "")
+        assert err == (
+            "internal consistency failure: dimension 99 != g2 4 on a connected graph with n=5 "
+            f"(dimension=99 g2=4 oracle_nullity={nullity} graph6=Ds_)\n"
+        )
+
+    def test_components_disagreement_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g, cap=14: 99)
+        code, out, err = run_capture(capsys, ["analyze", "--graph6", "B_", "--components"])
+        assert code == 4
+        assert "oracle_agrees: no" in out
+        assert err.startswith("internal consistency failure: oracle nullity 99 != dimension ")
+        assert err.endswith(" oracle_nullity=99 graph6=B_)\n")
+
+    @pytest.mark.parametrize("family,dimension", [("star", 17), ("path", 2)])
+    def test_oracle_at_n18(self, capsys, family, dimension):
+        code, out, _ = run_capture(
+            capsys,
+            ["verify", "--family", family, "--n", "18", "--oracle-max-n", "18",
+             "--format", "machine"],
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["dimension"] == record["oracle_nullity"] == dimension
+        assert record["oracle_agrees"] is True
 
     def test_byte_stable(self, capsys):
         argv = ["verify", "--family", "complete", "--n", "6", "--format", "machine"]
@@ -244,6 +282,16 @@ class TestCeilings:
             capsys, ["enumerate", "--graph6", "A_", "--enumerate-max-n", str(cli.BRUTE_CEILING)]
         )
         assert code == 0 and len(out.splitlines()) == 3
+
+
+class TestEdgeListCeiling:
+    @pytest.mark.parametrize("extra", [[], ["--components"]])
+    def test_huge_vertex_count_refused(self, capsys, tmp_path, extra):
+        path = tmp_path / "huge.col"
+        path.write_text("p edge 1000000000 0\n")
+        code, out, err = run_capture(capsys, ["analyze", "--file", str(path), *extra])
+        assert (code, out) == (3, "")
+        assert err.startswith("constraint violation: line 1: edge lists cap at n=65536")
 
 
 class TestSelftest:

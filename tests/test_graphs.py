@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import graphs_strategy
 from stabdim.errors import ConstraintError, GraphParseError
 from stabdim.graphs import (
+    EDGE_LIST_MAX_N,
     Graph,
     XorShift64Star,
     bit_indices,
@@ -117,6 +118,15 @@ class TestEdgeList:
     @settings(max_examples=60)
     def test_round_trip(self, g):
         assert parse_edge_list(encode_edge_list(g)) == g
+
+    @pytest.mark.parametrize("n", [EDGE_LIST_MAX_N + 1, 10**9])
+    def test_vertex_ceiling_refused_on_p_line(self, monkeypatch, n):
+        def no_graph(*args):
+            raise AssertionError("graph built despite the ceiling")
+
+        monkeypatch.setattr(Graph, "from_edges", no_graph)
+        with pytest.raises(ConstraintError, match=f"cap at n={EDGE_LIST_MAX_N}, got n={n}"):
+            parse_edge_list(f"p edge {n} 0\ne 1 2")
 
 
 class TestGraph6:

@@ -8,16 +8,21 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_labeled_graphs,
+    annihilates,
     coefficient_vector_row,
     connected_graphs_strategy,
+    graphs_strategy,
+    local_complement,
     rational_rank,
+    reference_gram_blocks,
 )
-from stabdim.configurations import detect_configurations, lie_generator
+from stabdim.configurations import analyze, detect_configurations, lie_generator
 from stabdim.errors import ConstraintError
 from stabdim.graphs import Graph, generate
 from stabdim.oracle import (
+    DEFAULT_ORACLE_CAP,
     CoefficientVector,
-    annihilates,
+    _gram_blocks,
     apply_pauli,
     bareiss_echelon,
     build_statevector,
@@ -139,7 +144,7 @@ class TestNullity:
         assert local_algebra_nullity(generate("cycle", 5)) == 0
 
     def test_cap(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError, match="caps at n=14, got n=15"):
             local_algebra_nullity(generate("path", 15))
 
     def test_gram_route_equals_direct_route_exhaustive(self):
@@ -212,3 +217,45 @@ class TestAlgebraAction:
         tx = tuple((Fraction(1), Fraction(0), Fraction(0)) if a == 0 else
                    (Fraction(0), Fraction(0), Fraction(0)) for a in range(5))
         assert not annihilates(CoefficientVector(Fraction(0), tx), v)
+
+
+class TestGramBlocks:
+    def test_equal_to_reference_exhaustive(self):
+        for n in range(1, 6):
+            for g in all_labeled_graphs(n):
+                assert _gram_blocks(g, DEFAULT_ORACLE_CAP) == reference_gram_blocks(g)
+
+    @given(graphs_strategy(min_n=1, max_n=10))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_to_reference_random(self, g):
+        assert _gram_blocks(g, DEFAULT_ORACLE_CAP) == reference_gram_blocks(g)
+
+
+class TestInvariance:
+    """Nullity is unchanged under local complementation and relabelling.
+
+    LC maps a graph state to a local-unitary-equivalent one, so the stabilizer
+    dimension cannot change; twins and leaves are not LC-invariant, so this
+    checks the oracle and the configuration count from outside their theory.
+    """
+
+    @given(connected_graphs_strategy(min_n=3, max_n=9), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_local_complementation(self, g, data):
+        v = data.draw(st.integers(0, g.n - 1))
+        h = local_complement(g, v)
+        assert local_algebra_nullity(g) == local_algebra_nullity(h) == analyze(h).dimension
+
+    @given(connected_graphs_strategy(min_n=3, max_n=9), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_relabelling(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        h = g.relabel(perm)
+        assert local_algebra_nullity(g) == local_algebra_nullity(h) == analyze(h).dimension
+
+    def test_local_complement_closes_triangle(self):
+        # LC at the centre of a 3-path closes the triangle, and is an involution.
+        g = generate("path", 3)
+        h = local_complement(g, 1)
+        assert h == generate("complete", 3)
+        assert local_complement(h, 1) == g
