@@ -12,50 +12,21 @@ from .configurations import (
     LEAF,
     TWIN,
     Configuration,
-    SlotPair,
-    corresponding_stabilizer_element,
     detect_configurations,
-    lie_generator,
-    slot_span_rank,
     stabilizer_dimension,
-    stabilizer_dimension_components,
 )
 from .errors import ConsistencyError, ConstraintError, GraphParseError
 from .graphs import (
     Graph,
-    connected_components,
     encode_edge_list,
     encode_graph6,
     generate,
-    is_connected,
     parse_edge_list,
     parse_graph6,
 )
-from .oracle import (
-    CoefficientVector,
-    ExactStateVector,
-    apply_pauli,
-    build_statevector,
-    is_stabilized,
-    local_algebra_nullity,
-    nullspace_basis,
-)
-from .pauli import (
-    PauliString,
-    element,
-    g2_rank,
-    gf2_rank,
-    graph_generators,
-    low_weight_elements,
-    multiply,
-)
-from .theorem import (
-    EquivalenceReport,
-    check_correspondence,
-    check_equivalence,
-    check_pairwise_overlap,
-    check_support_pairs,
-)
+from .oracle import CoefficientVector, local_algebra_nullity, nullspace_basis
+from .pauli import PauliString, g2_rank, low_weight_elements
+from .theorem import EquivalenceReport, check_equivalence
 
 __version__ = "0.1.0"
 
@@ -68,37 +39,19 @@ __all__ = [
     "ConsistencyError",
     "ConstraintError",
     "EquivalenceReport",
-    "ExactStateVector",
     "Graph",
     "GraphParseError",
     "PauliString",
-    "SlotPair",
-    "apply_pauli",
-    "build_statevector",
-    "check_correspondence",
     "check_equivalence",
-    "check_pairwise_overlap",
-    "check_support_pairs",
-    "connected_components",
-    "corresponding_stabilizer_element",
     "detect_configurations",
-    "element",
     "encode_edge_list",
     "encode_graph6",
     "g2_rank",
     "generate",
-    "gf2_rank",
-    "graph_generators",
-    "is_connected",
-    "is_stabilized",
-    "lie_generator",
     "local_algebra_nullity",
     "low_weight_elements",
-    "multiply",
     "nullspace_basis",
     "parse_edge_list",
     "parse_graph6",
-    "slot_span_rank",
     "stabilizer_dimension",
-    "stabilizer_dimension_components",
 ]

@@ -30,7 +30,7 @@ from .graphs import (
     parse_graph6,
 )
 from .pauli import DEFAULT_BRUTE_CAP, low_weight_elements
-from .theorem import check_equivalence
+from .theorem import check_equivalence, reproduction
 
 # Hard ceilings on the user-raisable caps: both routes cost 2**n time and memory.
 ORACLE_CEILING = 20
@@ -157,20 +157,12 @@ def _build_report(
     if components:
         # The component extension is only empirically gated, so cross-check the
         # oracle whenever it is in reach.
-        nullity = None
-        if with_oracle:
-            nullity = oracle.local_algebra_nullity(g, cap=oracle_cap)
-        elif g.n <= oracle.DEFAULT_ORACLE_CAP:
-            nullity = oracle.local_algebra_nullity(g)
+        run_oracle = with_oracle or g.n <= oracle.DEFAULT_ORACLE_CAP
+        nullity = oracle.local_algebra_nullity(g, cap=oracle_cap) if run_oracle else None
     elif not analysis.connected:
         raise ConstraintError("graph is disconnected; pass --components to sum per component")
     else:
-        try:
-            rep = check_equivalence(g, with_oracle, oracle_cap=oracle_cap, analysis=analysis)
-        except ConsistencyError as exc:
-            nullity = oracle.local_algebra_nullity(g, cap=oracle_cap) if with_oracle else None
-            detail = _reproduction(g, analysis.dimension, analysis.g2, nullity)
-            raise ConsistencyError(f"{exc} ({detail})") from None
+        rep = check_equivalence(g, with_oracle, oracle_cap=oracle_cap, analysis=analysis)
         nullity = rep.oracle_nullity
     return AnalysisReport(
         n=g.n,
@@ -188,15 +180,6 @@ def _build_report(
     )
 
 
-def _reproduction(g: Graph, dimension: int, g2: int, nullity: int | None) -> str:
-    """Each route's value plus, when it fits, the input as graph6."""
-    shown = "not-run" if nullity is None else nullity
-    detail = f"dimension={dimension} g2={g2} oracle_nullity={shown}"
-    if g.n <= 62:
-        detail += f" graph6={encode_graph6(g)}"
-    return detail
-
-
 def _emit(g: Graph, report: AnalysisReport, fmt: str) -> int:
     """Write the report to stdout; an oracle disagreement then raises (exit 4)."""
     text = format_report(report, fmt)
@@ -204,7 +187,7 @@ def _emit(g: Graph, report: AnalysisReport, fmt: str) -> int:
         text += "\n"
     sys.stdout.write(text)
     if report.oracle_agrees is False:
-        detail = _reproduction(g, report.dimension, report.g2, report.oracle_nullity)
+        detail = reproduction(g, report.dimension, report.g2, report.oracle_nullity)
         raise ConsistencyError(
             f"oracle nullity {report.oracle_nullity} != dimension {report.dimension} ({detail})"
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ConstraintError
 from .graphs import Graph, is_connected, twin_classes
-from .pauli import PauliString, fast_exponents, g2_rank
+from .pauli import fast_exponents, g2_rank
 
 TWIN = "twin"
 LEAF = "leaf"
@@ -134,23 +134,6 @@ def slot_span_rank(pairs) -> int:
 def stabilizer_dimension(g: Graph) -> int:
     """Dimension of the local-unitary stabilizer algebra of the graph state."""
     return require_core_input(analyze(g)).dimension
-
-
-def corresponding_stabilizer_element(c: Configuration, n: int) -> PauliString:
-    """The weight-2 stabilizer element matching a configuration (always sign +1)."""
-    a, b = 1 << c.a, 1 << c.b
-    if c.kind == TWIN:
-        return PauliString(n, a | b, 0, 0)
-    if c.kind == LEAF:
-        return PauliString(n, a, b, 0)
-    if c.kind == CLOSED_TWIN:
-        return PauliString(n, a | b, a | b, 2)
-    raise ValueError(f"unknown configuration kind {c.kind!r}")
-
-
-def stabilizer_dimension_components(g: Graph) -> int:
-    """Extension for disconnected inputs: per-component sum, isolated vertices count 1."""
-    return analyze(g).dimension
 
 
 def components_with_configurations(g: Graph) -> tuple[int, list[Configuration]]:

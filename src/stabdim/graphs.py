@@ -37,8 +37,9 @@ FAMILIES = ("path", "cycle", "star", "complete", "tree", "gnp")
 
 _MASK64 = (1 << 64) - 1
 
-# Largest edge-list vertex count: bit-row adjacency takes up to n**2 / 8 bytes,
-# 512 MiB here, and rows are allocated before any edge is read.
+# Largest vertex count of an edge list or a generated family: bit-row adjacency
+# takes up to n**2 / 8 bytes, 512 MiB here, and both are refused before any
+# row or edge is built.
 EDGE_LIST_MAX_N = 1 << 16
 
 
@@ -94,15 +95,6 @@ class Graph:
     def m(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighborhood(self, v: int) -> int:
-        """Neighbor set of ``v`` as a bit vector."""
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range for n={self.n}")
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -127,8 +119,8 @@ class Graph:
 def parse_edge_list(text: str) -> Graph:
     """Parse the DIMACS-like edge-list format (see module docstring)."""
     n = m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[frozenset[int]] = set()
+    rows: list[int] = []
+    found = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
@@ -149,6 +141,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise ConstraintError(
                     f"line {lineno}: edge lists cap at n={EDGE_LIST_MAX_N}, got n={n}"
                 )
+            rows = [0] * n
         elif kind == "e":
             if n is None:
                 raise GraphParseError(f"line {lineno}: 'e' line before 'p' line")
@@ -162,18 +155,18 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: endpoint outside [1, {n}]")
             if u == v:
                 raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
-            key = frozenset((u, v))
-            if key in seen:
+            if rows[u - 1] >> (v - 1) & 1:
                 raise GraphParseError(f"line {lineno}: duplicate edge ({u}, {v})")
-            seen.add(key)
-            edges.append((u - 1, v - 1))
+            rows[u - 1] |= 1 << (v - 1)
+            rows[v - 1] |= 1 << (u - 1)
+            found += 1
         else:
             raise GraphParseError(f"line {lineno}: unknown line type {kind!r}")
     if n is None:
         raise GraphParseError("missing 'p edge <n> <m>' line")
-    if len(edges) != m:
-        raise GraphParseError(f"'p' line declares {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    if found != m:
+        raise GraphParseError(f"'p' line declares {m} edges, found {found}")
+    return Graph(n, tuple(rows))
 
 
 def encode_edge_list(g: Graph) -> str:
@@ -337,12 +330,15 @@ def generate(family: str, n: int, p: float | None = None, seed: int = 0) -> Grap
 
     path = 0-1-...-(n-1); cycle = path plus (n-1, 0); star = center 0 joined
     to all others; complete = all pairs; tree = uniform random labeled tree;
-    gnp = each pair kept independently with probability p.
+    gnp = each pair kept independently with probability p. ``n`` above
+    ``EDGE_LIST_MAX_N`` is refused (ConstraintError) before any edge is built.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if n < 1:
         raise ConstraintError(f"family {family!r} needs n >= 1, got {n}")
+    if n > EDGE_LIST_MAX_N:
+        raise ConstraintError(f"family {family!r} caps at n={EDGE_LIST_MAX_N}, got n={n}")
     if family == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family == "cycle":

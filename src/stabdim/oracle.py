@@ -20,8 +20,8 @@ blocks G = A^T A (real columns and imaginary columns never mix), using
 fraction-free Bareiss elimination on integers; rank(A^T A) = rank(A) holds
 exactly over the rationals.
 
-``build_statevector``, ``apply_pauli`` and ``is_stabilized`` are the
-amplitude-level API; the nullity route does not use them.
+``build_statevector`` and ``apply_pauli`` are an amplitude-level reference
+for tests; the nullity route does not use them.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ def apply_pauli(p: PauliString, v: ExactStateVector) -> ExactStateVector:
     elif k == 3:
         re, im = im, [-a for a in re]
     return ExactStateVector(v.n, tuple(re), tuple(im))
-
-
-def is_stabilized(p: PauliString, v: ExactStateVector) -> bool:
-    """True iff p fixes v exactly, sign included."""
-    return apply_pauli(p, v) == v
 
 
 def bareiss_echelon(rows) -> tuple[list[list[int]], list[int]]:

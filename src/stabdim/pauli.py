@@ -49,9 +49,6 @@ class PauliString:
         xb, zb, phase = _AXIS_BITS[axis]
         return cls(n, xb << qubit, zb << qubit, phase)
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0 and self.phase_exp == 0
-
     def support(self) -> int:
         """Bit vector of qubits acted on non-trivially."""
         return self.x | self.z
@@ -163,8 +160,8 @@ def fast_exponents(leaves, open_classes, closed_classes) -> list[int]:
     return out
 
 
-def gf2_rank(rows) -> int:
-    """Rank over GF(2) of int bit-vectors."""
+def g2_rank(rows) -> int:
+    """Rank over GF(2) of int bit-vectors: g2 on the weight-<=2 exponent vectors."""
     pivots: dict[int, int] = {}
     for row in rows:
         cur = row
@@ -176,8 +173,3 @@ def gf2_rank(rows) -> int:
                 break
             cur ^= piv
     return len(pivots)
-
-
-def g2_rank(exponents) -> int:
-    """Number of independent weight-<=2 elements: GF(2) rank of their exponent vectors."""
-    return gf2_rank(exponents)

@@ -11,12 +11,22 @@ from stabdim.configurations import (
     LEAF,
     TWIN,
     Configuration,
+    SlotPair,
+    detect_configurations,
     lie_generator,
     slot_span_rank,
 )
-from stabdim.graphs import Graph, connected_components, generate, is_connected
-from stabdim.oracle import DEFAULT_ORACLE_CAP, apply_pauli, build_statevector
-from stabdim.pauli import PauliString, g2_rank, graph_generators, multiply
+from stabdim.errors import ConstraintError
+from stabdim.graphs import Graph, bit_indices, connected_components, generate, is_connected
+from stabdim.oracle import DEFAULT_ORACLE_CAP, CoefficientVector, apply_pauli, build_statevector
+from stabdim.pauli import (
+    DEFAULT_BRUTE_CAP,
+    PauliString,
+    g2_rank,
+    graph_generators,
+    low_weight_elements,
+    multiply,
+)
 
 _PAIR_CACHE: dict[int, list[tuple[int, int]]] = {}
 
@@ -117,7 +127,7 @@ def reference_configurations(g: Graph) -> list[Configuration]:
     """O(n^2) pair-scan detector: every twin pair, leaf and closed-twin pair, in kind order."""
     twins, leaves, closed = [], [], []
     for a in range(g.n):
-        if g.degree(a) == 1:
+        if g.adj[a].bit_count() == 1:
             leaves.append(Configuration(LEAF, a, g.adj[a].bit_length() - 1))
     for a in range(g.n):
         for b in range(a + 1, g.n):
@@ -132,7 +142,7 @@ def reference_configurations(g: Graph) -> list[Configuration]:
 def reference_fast_elements(g: Graph) -> list[tuple[int, PauliString]]:
     """O(n^2) pair scan for the weight-<=2 elements: leaves and twin products."""
     gens = graph_generators(g)
-    out = [(1 << a, gens[a]) for a in range(g.n) if g.degree(a) == 1]
+    out = [(1 << a, gens[a]) for a in range(g.n) if g.adj[a].bit_count() == 1]
     for a in range(g.n):
         for b in range(a + 1, g.n):
             if g.has_edge(a, b):
@@ -230,3 +240,77 @@ def reference_gram_blocks(g: Graph, cap: int = DEFAULT_ORACLE_CAP):
         return out
 
     return gram(real_masks), gram(imag_masks)
+
+
+def is_stabilized(p: PauliString, v) -> bool:
+    """True iff p fixes the ExactStateVector v exactly, sign included."""
+    return apply_pauli(p, v) == v
+
+
+def corresponding_stabilizer_element(c: Configuration, n: int) -> PauliString:
+    """The weight-2 stabilizer element matching a configuration (always sign +1)."""
+    a, b = 1 << c.a, 1 << c.b
+    if c.kind == TWIN:
+        return PauliString(n, a | b, 0, 0)
+    if c.kind == LEAF:
+        return PauliString(n, a, b, 0)
+    if c.kind == CLOSED_TWIN:
+        return PauliString(n, a | b, a | b, 2)
+    raise ValueError(f"unknown configuration kind {c.kind!r}")
+
+
+def slot_coefficient_vector(pair: SlotPair, n: int) -> CoefficientVector:
+    """Embed O_p - O_q into the (theta, t) coefficient space of the oracle."""
+    axis_index = {"X": 0, "Y": 1, "Z": 2}
+    t = [[Fraction(0)] * 3 for _ in range(n)]
+    (va, axa), (vb, axb) = pair.p, pair.q
+    t[va][axis_index[axa]] += 1
+    t[vb][axis_index[axb]] -= 1
+    return CoefficientVector(Fraction(0), tuple(tuple(row) for row in t))
+
+
+def check_support_pairs(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> bool:
+    """Every brute-enumerated weight-2 support is a detected configuration pair,
+    and no weight-1 element exists."""
+    pairs = {frozenset((c.a, c.b)) for c in detect_configurations(g)}
+    for _, p in low_weight_elements(g, mode="brute", cap=cap):
+        support = bit_indices(p.support())
+        if len(support) != 2:
+            return False
+        if frozenset(support) not in pairs:
+            return False
+    return True
+
+
+def check_pairwise_overlap(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> bool:
+    """Any two weight-2 elements overlap in at most one vertex, with equal letters there.
+
+    Identical supports never occur on a connected graph with n >= 3; the
+    2-vertex graph violates this literally (all three of its weight-2
+    elements share the same support), matching the theorem's n >= 3 scope.
+    """
+    elems = [p for _, p in low_weight_elements(g, mode="brute", cap=cap) if p.weight() == 2]
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            inter = elems[i].support() & elems[j].support()
+            count = inter.bit_count()
+            if count == 0:
+                continue
+            if count == 2:
+                return False
+            v = inter.bit_length() - 1
+            if elems[i].letter(v) != elems[j].letter(v):
+                return False
+    return True
+
+
+def check_correspondence(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> bool:
+    """The map O(a)O(b) -> O(a)-O(b) preserves the number of independent elements."""
+    if g.n < 3:
+        raise ConstraintError(f"correspondence check needs n >= 3, got n={g.n}")
+    elems = low_weight_elements(g, mode="brute", cap=cap)
+    mapped = []
+    for _, p in elems:
+        a, b = bit_indices(p.support())
+        mapped.append(SlotPair((a, p.letter(a)), (b, p.letter(b))))
+    return g2_rank(e for e, _ in elems) == slot_span_rank(mapped)

@@ -10,7 +10,14 @@ import functools
 import json
 import time
 
-from helpers import coefficient_vector_row, rational_rank
+from helpers import (
+    check_pairwise_overlap,
+    check_support_pairs,
+    coefficient_vector_row,
+    is_stabilized,
+    rational_rank,
+    slot_coefficient_vector,
+)
 from stabdim.cli import run
 from stabdim.configurations import (
     Configuration,
@@ -20,13 +27,8 @@ from stabdim.configurations import (
 )
 from stabdim.graphs import generate, is_connected, parse_edge_list, parse_graph6
 from stabdim.graphs import encode_edge_list, encode_graph6
-from stabdim.oracle import build_statevector, is_stabilized, nullspace_basis
+from stabdim.oracle import build_statevector, nullspace_basis
 from stabdim.pauli import g2_rank, low_weight_elements
-from stabdim.theorem import (
-    check_pairwise_overlap,
-    check_support_pairs,
-    slot_coefficient_vector,
-)
 
 
 def criterion(num, desc):

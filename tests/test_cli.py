@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from stabdim import cli, oracle
+from stabdim import cli, graphs, oracle
 from stabdim.cli import run
 
 
@@ -282,6 +282,28 @@ class TestCeilings:
             capsys, ["enumerate", "--graph6", "A_", "--enumerate-max-n", str(cli.BRUTE_CEILING)]
         )
         assert code == 0 and len(out.splitlines()) == 3
+
+
+class TestFamilyCeiling:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "complete", "--n", "65537"],
+            ["analyze", "--family", "path", "--n", "1000000000"],
+            ["verify", "--family", "gnp", "--n", "65537", "--p", "0.5", "--components"],
+        ],
+    )
+    def test_huge_family_refused(self, capsys, monkeypatch, argv):
+        def no_edges(*args):
+            raise AssertionError("edges built despite the ceiling")
+
+        monkeypatch.setattr(graphs, "range", no_edges, raising=False)
+        code, out, err = run_capture(capsys, argv)
+        n = argv[argv.index("--n") + 1]
+        assert (code, out) == (3, "")
+        assert err == (
+            f"constraint violation: family {argv[2]!r} caps at n=65536, got n={n}\n"
+        )
 
 
 class TestEdgeListCeiling:

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from helpers import (
     coefficient_vector_row,
     connected_graphs_strategy,
+    corresponding_stabilizer_element,
+    is_stabilized,
     rational_rank,
+    slot_coefficient_vector,
 )
 from stabdim.configurations import (
     CLOSED_TWIN,
@@ -15,19 +18,17 @@ from stabdim.configurations import (
     TWIN,
     Configuration,
     SlotPair,
+    analyze,
     components_with_configurations,
-    corresponding_stabilizer_element,
     detect_configurations,
     lie_generator,
     slot_span_rank,
     stabilizer_dimension,
-    stabilizer_dimension_components,
 )
 from stabdim.errors import ConstraintError
 from stabdim.graphs import Graph, generate
-from stabdim.oracle import build_statevector, is_stabilized, local_algebra_nullity
+from stabdim.oracle import build_statevector, local_algebra_nullity
 from stabdim.pauli import element, graph_generators
-from stabdim.theorem import slot_coefficient_vector
 
 
 class TestDetect:
@@ -155,14 +156,14 @@ class TestCorrespondingElement:
 
 class TestComponents:
     def test_isolated_vertices(self):
-        assert stabilizer_dimension_components(Graph.from_edges(5, [])) == 5
-        assert stabilizer_dimension_components(Graph.from_edges(1, [])) == 1
+        assert analyze(Graph.from_edges(5, [])).dimension == 5
+        assert analyze(Graph.from_edges(1, [])).dimension == 1
 
     def test_mixed(self):
         two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert stabilizer_dimension_components(two_k2) == 6
+        assert analyze(two_k2).dimension == 6
         k2_plus_isolated = Graph.from_edges(3, [(0, 1)])
-        assert stabilizer_dimension_components(k2_plus_isolated) == 4
+        assert analyze(k2_plus_isolated).dimension == 4
 
     def test_matches_oracle_on_disconnected_samples(self):
         samples = [
@@ -173,12 +174,12 @@ class TestComponents:
             Graph.from_edges(7, [(0, 1), (0, 2), (4, 5), (5, 6), (4, 6)]),
         ]
         for g in samples:
-            assert stabilizer_dimension_components(g) == local_algebra_nullity(g)
+            assert analyze(g).dimension == local_algebra_nullity(g)
 
     def test_global_labels(self):
         g = Graph.from_edges(6, [(1, 4), (2, 3), (2, 5), (3, 5)])
         dim, configs = components_with_configurations(g)
-        assert dim == stabilizer_dimension_components(g)
+        assert dim == analyze(g).dimension
         for c in configs:
             assert {c.a, c.b} <= {1, 2, 3, 4, 5}
         assert Configuration(LEAF, 1, 4) in configs

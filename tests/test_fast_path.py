@@ -18,7 +18,6 @@ from stabdim.configurations import (
     lie_generator,
     slot_span_rank,
     stabilizer_dimension,
-    stabilizer_dimension_components,
 )
 from stabdim.graphs import Graph, encode_edge_list, generate, is_connected
 from stabdim.pauli import g2_rank, low_weight_elements
@@ -87,7 +86,7 @@ def test_disjoint_unions(random_corpus):
         a = analyze(g)
         assert a.connected is False
         assert (a.configurations, a.dimension, a.g2) == (configs, dimension, g2)
-        assert stabilizer_dimension_components(g) == dimension
+        assert analyze(g).dimension == dimension
         assert components_with_configurations(g) == (dimension, configs)
 
 

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import graphs_strategy
+from stabdim import graphs
 from stabdim.errors import ConstraintError, GraphParseError
 from stabdim.graphs import (
     EDGE_LIST_MAX_N,
+    FAMILIES,
     Graph,
     XorShift64Star,
     bit_indices,
@@ -49,17 +51,6 @@ class TestGraphType:
             Graph(0, ())
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
-
-    def test_neighborhood(self):
-        star = generate("star", 4)
-        assert star.neighborhood(1) == 0b0001
-        assert star.neighborhood(0) == 0b1110
-        k3 = generate("complete", 3)
-        assert bit_indices(k3.neighborhood(0)) == [1, 2]
-        edgeless = Graph.from_edges(2, [])
-        assert edgeless.neighborhood(0) == 0
-        with pytest.raises(IndexError):
-            star.neighborhood(4)
 
     def test_induced_subgraph(self):
         p4 = generate("path", 4)
@@ -124,7 +115,7 @@ class TestEdgeList:
         def no_graph(*args):
             raise AssertionError("graph built despite the ceiling")
 
-        monkeypatch.setattr(Graph, "from_edges", no_graph)
+        monkeypatch.setattr(Graph, "__init__", no_graph)
         with pytest.raises(ConstraintError, match=f"cap at n={EDGE_LIST_MAX_N}, got n={n}"):
             parse_edge_list(f"p edge {n} 0\ne 1 2")
 
@@ -207,6 +198,19 @@ class TestGenerate:
             generate("gnp", 4, p=1.5)
         with pytest.raises(ValueError):
             generate("wheel", 4)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [EDGE_LIST_MAX_N + 1, 10**9])
+    def test_vertex_ceiling_refused_before_any_edge(self, monkeypatch, family, n):
+        def no_edges(*args):
+            raise AssertionError("edges built despite the ceiling")
+
+        # Every family builds its edges from range(), so a missing ceiling
+        # fails here at once instead of building n**2 / 2 edges.
+        monkeypatch.setattr(graphs, "range", no_edges, raising=False)
+        p = 0.5 if family == "gnp" else None
+        with pytest.raises(ConstraintError, match=f"caps at n={EDGE_LIST_MAX_N}, got n={n}$"):
+            generate(family, n, p=p)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_tree_is_connected_with_n_minus_1_edges(self, seed):

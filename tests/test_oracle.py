@@ -12,9 +12,11 @@ from helpers import (
     coefficient_vector_row,
     connected_graphs_strategy,
     graphs_strategy,
+    is_stabilized,
     local_complement,
     rational_rank,
     reference_gram_blocks,
+    slot_coefficient_vector,
 )
 from stabdim.configurations import analyze, detect_configurations, lie_generator
 from stabdim.errors import ConstraintError
@@ -26,13 +28,11 @@ from stabdim.oracle import (
     apply_pauli,
     bareiss_echelon,
     build_statevector,
-    is_stabilized,
     local_algebra_nullity,
     matrix_rank,
     nullspace_basis,
 )
 from stabdim.pauli import PauliString, graph_generators
-from stabdim.theorem import slot_coefficient_vector
 
 
 def direct_stacked_nullity(g):

@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs_strategy, graphs_strategy
+from helpers import connected_graphs_strategy, graphs_strategy, is_stabilized
 from stabdim.errors import ConstraintError
 from stabdim.graphs import Graph, bit_indices, generate
-from stabdim.oracle import apply_pauli, build_statevector, is_stabilized
+from stabdim.oracle import apply_pauli, build_statevector
 from stabdim.pauli import (
     PauliString,
     element,
     g2_rank,
-    gf2_rank,
     graph_generators,
     low_weight_elements,
     multiply,
@@ -211,12 +210,12 @@ class TestG2Rank:
             assert g2_rank(e for e, _ in low_weight_elements(star, "fast")) == n - 1
 
     def test_gf2_rank_basics(self):
-        assert gf2_rank([0b100, 0b010, 0b110]) == 2
-        assert gf2_rank([0, 0]) == 0
+        assert g2_rank([0b100, 0b010, 0b110]) == 2
+        assert g2_rank([0, 0]) == 0
 
     @given(st.lists(st.integers(0, 2**10 - 1), max_size=12), st.randoms(use_true_random=False))
     def test_rank_invariant_under_recombination(self, rows, rnd):
-        base = gf2_rank(rows)
+        base = g2_rank(rows)
         mixed = rows[:]
         rnd.shuffle(mixed)
         for _ in range(len(mixed)):
@@ -224,4 +223,4 @@ class TestG2Rank:
                 i, j = rnd.randrange(len(mixed)), rnd.randrange(len(mixed))
                 if i != j:
                     mixed[i] ^= mixed[j]
-        assert gf2_rank(mixed) == base
+        assert g2_rank(mixed) == base

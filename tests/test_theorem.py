@@ -5,17 +5,16 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
-from helpers import connected_graphs_strategy
-from stabdim import theorem
-from stabdim.errors import ConsistencyError, ConstraintError
-from stabdim.graphs import Graph, generate
-from stabdim.theorem import (
-    EquivalenceReport,
+from helpers import (
     check_correspondence,
-    check_equivalence,
     check_pairwise_overlap,
     check_support_pairs,
+    connected_graphs_strategy,
 )
+from stabdim import theorem
+from stabdim.errors import ConsistencyError, ConstraintError
+from stabdim.graphs import Graph, encode_graph6, generate
+from stabdim.theorem import EquivalenceReport, check_equivalence
 
 
 class TestCheckEquivalence:
@@ -56,6 +55,16 @@ class TestCheckEquivalence:
         self._break_dimension(monkeypatch)
         rep = check_equivalence(generate("complete", 2))
         assert rep.holds is False
+
+
+class TestReproduction:
+    def test_graph6_only_when_it_fits(self):
+        p62 = generate("path", 62)
+        assert theorem.reproduction(p62, 2, 1, None) == (
+            f"dimension=2 g2=1 oracle_nullity=not-run graph6={encode_graph6(p62)}"
+        )
+        p63 = generate("path", 63)
+        assert theorem.reproduction(p63, 2, 2, 5) == "dimension=2 g2=2 oracle_nullity=5"
 
 
 class TestSupportPairs:
