@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import oracle
-from .configurations import Configuration, analyze, detect_configurations, lie_generator
+from .configurations import Analysis, analyze, detect_configurations, lie_generator
 from .errors import ConsistencyError, ConstraintError, GraphParseError
 from .graphs import (
     FAMILIES,
@@ -30,7 +29,7 @@ from .graphs import (
     parse_graph6,
 )
 from .pauli import DEFAULT_BRUTE_CAP, low_weight_elements
-from .theorem import check_equivalence, reproduction
+from .theorem import check_equivalence, graph6_detail, reproduction
 
 # Hard ceilings on the user-raisable caps: both routes cost 2**n time and memory.
 ORACLE_CEILING = 20
@@ -41,70 +40,48 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    n: int
-    m: int
-    connected: bool
-    configurations: list[Configuration]
-    dimension: int
-    g2: int
-    theorem_holds: bool
-    oracle_nullity: int | None
-    oracle_agrees: bool | None
-    source_format: str
-    source_name: str
-    components_mode: bool
-
-
-def format_report(report: AnalysisReport, mode: str = "text") -> str:
+def format_report(
+    g: Graph, a: Analysis, nullity: int | None, source: str, components: bool, mode: str = "text"
+) -> str:
+    holds = a.dimension == a.g2
+    agrees = None if nullity is None else nullity == a.dimension
     if mode == "machine":
         record = {
-            "n": report.n,
-            "m": report.m,
-            "connected": report.connected,
-            "dimension": report.dimension,
-            "g2": report.g2,
-            "theorem_holds": report.theorem_holds,
-            "configurations": [
-                {"kind": c.kind, "a": c.a, "b": c.b} for c in report.configurations
-            ],
+            "n": g.n,
+            "m": g.m,
+            "connected": a.connected,
+            "dimension": a.dimension,
+            "g2": a.g2,
+            "theorem_holds": holds,
+            "configurations": [{"kind": c.kind, "a": c.a, "b": c.b} for c in a.configurations],
         }
-        if report.oracle_nullity is not None:
-            record["oracle_nullity"] = report.oracle_nullity
-        if report.oracle_agrees is not None:
-            record["oracle_agrees"] = report.oracle_agrees
-        return json.dumps(record, separators=(",", ":"))
+        if nullity is not None:
+            record["oracle_nullity"] = nullity
+            record["oracle_agrees"] = agrees
+        return json.dumps(record, separators=(",", ":")) + "\n"
     if mode != "text":
         raise ValueError(f"unknown report mode {mode!r}")
 
     yes_no = {True: "yes", False: "no"}
-    lines = [
-        f"source: {report.source_format} {report.source_name}",
-        f"n: {report.n}",
-        f"m: {report.m}",
-        f"connected: {yes_no[report.connected]}",
-    ]
-    if report.components_mode:
+    lines = [f"source: {source}", f"n: {g.n}", f"m: {g.m}", f"connected: {yes_no[a.connected]}"]
+    if components:
         lines.append("mode: component-sum extension")
-    if report.configurations:
+    if a.configurations:
         lines.append("configurations:")
         lines += [
-            f"  {c.kind} a={c.a} b={c.b} generator {lie_generator(c)}"
-            for c in report.configurations
+            f"  {c.kind} a={c.a} b={c.b} generator {lie_generator(c)}" for c in a.configurations
         ]
     else:
         lines.append("configurations: none")
-    lines.append(f"dimension: {report.dimension}")
+    lines.append(f"dimension: {a.dimension}")
     # local unitary group has dimension 3n+1; the orbit gets the rest
-    lines.append(f"orbit_dimension: {3 * report.n + 1 - report.dimension} (derived)")
-    lines.append(f"g2: {report.g2}")
-    note = " (expected boundary for n = 2)" if report.n == 2 and not report.theorem_holds else ""
-    lines.append(f"theorem_holds: {yes_no[report.theorem_holds]}{note}")
-    if report.oracle_nullity is not None:
-        lines.append(f"oracle_nullity: {report.oracle_nullity}")
-    if report.oracle_agrees is not None:
-        lines.append(f"oracle_agrees: {yes_no[report.oracle_agrees]}")
+    lines.append(f"orbit_dimension: {3 * g.n + 1 - a.dimension} (derived)")
+    lines.append(f"g2: {a.g2}")
+    note = " (expected boundary for n = 2)" if g.n == 2 and not holds else ""
+    lines.append(f"theorem_holds: {yes_no[holds]}{note}")
+    if nullity is not None:
+        lines.append(f"oracle_nullity: {nullity}")
+        lines.append(f"oracle_agrees: {yes_no[agrees]}")
     return "\n".join(lines) + "\n"
 
 
@@ -116,7 +93,8 @@ def _generate(args) -> Graph:
     return generate(args.family, args.n, p=args.p, seed=args.seed)
 
 
-def _load_graph(args) -> tuple[Graph, str, str]:
+def _load_graph(args) -> tuple[Graph, str]:
+    """The chosen input and its source line, e.g. ``graph6 A_``."""
     chosen = [
         name
         for name in ("file", "graph6", "family")
@@ -124,16 +102,16 @@ def _load_graph(args) -> tuple[Graph, str, str]:
     ]
     if len(chosen) != 1:
         raise UsageError("exactly one input source required: --file, --graph6, or --family")
-    source = chosen[0]
-    if source == "file":
+    kind = chosen[0]
+    if kind == "file":
         try:
             with open(args.file, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise GraphParseError(f"cannot read {args.file}: {exc}") from None
-        return parse_edge_list(text), "edge-list", args.file
-    if source == "graph6":
-        return parse_graph6(args.graph6), "graph6", args.graph6
+        return parse_edge_list(text), f"edge-list {args.file}"
+    if kind == "graph6":
+        return parse_graph6(args.graph6), f"graph6 {args.graph6}"
     if args.n is None:
         raise UsageError("--family requires --n")
     g = _generate(args)
@@ -142,84 +120,53 @@ def _load_graph(args) -> tuple[Graph, str, str]:
         detail += f",p={args.p}"
     if args.family in ("tree", "gnp"):
         detail += f",seed={args.seed}"
-    return g, "family", f"{args.family}({detail})"
+    return g, f"family {args.family}({detail})"
 
 
-def _build_report(
-    g: Graph,
-    source_format: str,
-    source_name: str,
-    components: bool,
-    with_oracle: bool,
-    oracle_cap: int,
-) -> AnalysisReport:
-    analysis = analyze(g)
-    if components:
+def _report(g: Graph, source: str, args, with_oracle: bool, oracle_cap: int) -> int:
+    """Write the analyze/verify report; an oracle disagreement then raises (exit 4)."""
+    a = analyze(g)
+    if args.components:
         # The component extension is only empirically gated, so cross-check the
         # oracle whenever it is in reach.
         run_oracle = with_oracle or g.n <= oracle.DEFAULT_ORACLE_CAP
         nullity = oracle.local_algebra_nullity(g, cap=oracle_cap) if run_oracle else None
-    elif not analysis.connected:
+    elif not a.connected:
         raise ConstraintError("graph is disconnected; pass --components to sum per component")
     else:
-        rep = check_equivalence(g, with_oracle, oracle_cap=oracle_cap, analysis=analysis)
+        rep = check_equivalence(g, with_oracle, oracle_cap=oracle_cap, analysis=a)
         nullity = rep.oracle_nullity
-    return AnalysisReport(
-        n=g.n,
-        m=g.m,
-        connected=analysis.connected,
-        configurations=analysis.configurations,
-        dimension=analysis.dimension,
-        g2=analysis.g2,
-        theorem_holds=analysis.dimension == analysis.g2,
-        oracle_nullity=nullity,
-        oracle_agrees=None if nullity is None else nullity == analysis.dimension,
-        source_format=source_format,
-        source_name=source_name,
-        components_mode=components,
-    )
-
-
-def _emit(g: Graph, report: AnalysisReport, fmt: str) -> int:
-    """Write the report to stdout; an oracle disagreement then raises (exit 4)."""
-    text = format_report(report, fmt)
-    if fmt == "machine":
-        text += "\n"
-    sys.stdout.write(text)
-    if report.oracle_agrees is False:
-        detail = reproduction(g, report.dimension, report.g2, report.oracle_nullity)
-        raise ConsistencyError(
-            f"oracle nullity {report.oracle_nullity} != dimension {report.dimension} ({detail})"
-        )
+    sys.stdout.write(format_report(g, a, nullity, source, args.components, args.format))
+    if nullity is not None and nullity != a.dimension:
+        detail = reproduction(g, a.dimension, a.g2, nullity)
+        raise ConsistencyError(f"oracle nullity {nullity} != dimension {a.dimension} ({detail})")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    g, fmt, name = _load_graph(args)
-    report = _build_report(g, fmt, name, args.components, False, oracle.DEFAULT_ORACLE_CAP)
-    return _emit(g, report, args.format)
+    return _report(*_load_graph(args), args, False, oracle.DEFAULT_ORACLE_CAP)
 
 
 def _cmd_verify(args) -> int:
     if args.oracle_max_n > ORACLE_CEILING:
         raise ConstraintError(f"--oracle-max-n has a hard ceiling of {ORACLE_CEILING}")
-    g, fmt, name = _load_graph(args)
+    g, source = _load_graph(args)
     if g.n > args.oracle_max_n:
         raise ConstraintError(f"oracle cap is n={args.oracle_max_n}, got n={g.n}")
-    report = _build_report(g, fmt, name, args.components, True, args.oracle_max_n)
-    return _emit(g, report, args.format)
+    return _report(g, source, args, True, args.oracle_max_n)
 
 
 def _cmd_enumerate(args) -> int:
     if args.enumerate_max_n > BRUTE_CEILING:
         raise ConstraintError(f"--enumerate-max-n has a hard ceiling of {BRUTE_CEILING}")
-    g, _, _ = _load_graph(args)
+    g, _ = _load_graph(args)
     modes = ("brute", "fast") if args.mode == "both" else (args.mode,)
     if "brute" in modes and g.n > args.enumerate_max_n:
         raise ConstraintError(f"enumeration cap is n={args.enumerate_max_n}, got n={g.n}")
     results = {mode: low_weight_elements(g, mode=mode, cap=args.enumerate_max_n) for mode in modes}
     if len(results) == 2 and results["brute"] != results["fast"]:
-        raise ConsistencyError("brute and fast enumerations disagree")
+        detail = f"brute={len(results['brute'])} fast={len(results['fast'])}{graph6_detail(g)}"
+        raise ConsistencyError(f"brute and fast enumerations disagree ({detail})")
     elements = results[modes[0]]
     for e, p in elements:
         bits = "".join("1" if (e >> i) & 1 else "0" for i in range(g.n))
@@ -328,29 +275,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each failure type's stderr label and exit code.
+_FAILURES = {
+    UsageError: ("usage error", 1),
+    GraphParseError: ("parse error", 2),
+    ConstraintError: ("constraint violation", 3),
+    ConsistencyError: ("internal consistency failure", 4),
+}
+
+
 def run(argv=None) -> int:
     """Execute one subcommand; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return args.func(args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except GraphParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ConstraintError as exc:
-        print(f"constraint violation: {exc}", file=sys.stderr)
-        return 3
-    except ConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_FAILURES) as exc:
+        label, code = _FAILURES[type(exc)]
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def main(argv=None) -> None:

@@ -15,7 +15,7 @@ from .configurations import Analysis, analyze, require_core_input
 from .errors import ConsistencyError
 from .graphs import Graph, encode_graph6
 from .oracle import DEFAULT_ORACLE_CAP
-from .pauli import DEFAULT_BRUTE_CAP, g2_rank, low_weight_elements
+from .pauli import g2_rank, low_weight_elements
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ def check_equivalence(
     g: Graph,
     with_oracle: bool = False,
     element_mode: str = "fast",
-    brute_cap: int = DEFAULT_BRUTE_CAP,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     analysis: Analysis | None = None,
 ) -> EquivalenceReport:
@@ -51,7 +50,7 @@ def check_equivalence(
     analysis = require_core_input(analyze(g) if analysis is None else analysis)
     g2 = analysis.g2
     if element_mode != "fast":
-        g2 = g2_rank(e for e, _ in low_weight_elements(g, mode=element_mode, cap=brute_cap))
+        g2 = g2_rank(e for e, _ in low_weight_elements(g, mode=element_mode))
     dimension = analysis.dimension
     nullity = oracle.local_algebra_nullity(g, cap=oracle_cap) if with_oracle else None
     holds = dimension == g2
@@ -67,7 +66,9 @@ def check_equivalence(
 def reproduction(g: Graph, dimension: int, g2: int, nullity: int | None) -> str:
     """Each route's value plus, when it fits, the input as graph6."""
     shown = "not-run" if nullity is None else nullity
-    detail = f"dimension={dimension} g2={g2} oracle_nullity={shown}"
-    if g.n <= 62:
-        detail += f" graph6={encode_graph6(g)}"
-    return detail
+    return f"dimension={dimension} g2={g2} oracle_nullity={shown}{graph6_detail(g)}"
+
+
+def graph6_detail(g: Graph) -> str:
+    """`` graph6=<g>`` when g fits graph6's one-byte size form (n <= 62), else empty."""
+    return f" graph6={encode_graph6(g)}" if g.n <= 62 else ""

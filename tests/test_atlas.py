@@ -1,0 +1,50 @@
+"""Exhaustive sweep over networkx's graph atlas: every graph with at most 7 vertices."""
+
+import pytest
+
+from stabdim.configurations import analyze
+from stabdim.graphs import Graph, encode_graph6, parse_graph6
+from stabdim.oracle import local_algebra_nullity
+from stabdim.pauli import g2_rank, low_weight_elements
+
+nx = pytest.importorskip("networkx")
+
+
+def _atlas():
+    """(networkx graph, the same graph as a stabdim Graph) for every non-empty atlas entry."""
+    out = []
+    for h in nx.graph_atlas_g():
+        index = {v: i for i, v in enumerate(h)}
+        if index:
+            out.append((h, Graph.from_edges(len(index), [(index[u], index[v]) for u, v in h.edges])))
+    return out
+
+
+ATLAS = _atlas()
+CONNECTED = [g for h, g in ATLAS if g.n >= 2 and nx.is_connected(h)]
+
+
+def test_atlas_sizes():
+    assert (len(ATLAS), len(CONNECTED)) == (1252, 995)
+
+
+def test_three_routes_agree_on_every_connected_graph():
+    mismatches = []
+    for g in CONNECTED:
+        a = analyze(g)
+        brute_g2 = g2_rank(e for e, _ in low_weight_elements(g, mode="brute"))
+        triple = (a.dimension, brute_g2, local_algebra_nullity(g))
+        expected = (3, 2, 3) if g.n == 2 else (triple[0],) * 3
+        if triple != expected or a.g2 != brute_g2:
+            mismatches.append((encode_graph6(g), triple, a.g2))
+    assert mismatches == []
+
+
+def test_graph6_matches_networkx():
+    mismatches = []
+    for h, g in ATLAS:
+        text = encode_graph6(g)
+        back = parse_graph6(text)
+        if text != nx.to_graph6_bytes(h, header=False).decode().strip() or back != g:
+            mismatches.append(text)
+    assert mismatches == []

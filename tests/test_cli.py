@@ -205,6 +205,19 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 2  # the two end leaves
 
+    def test_mismatch_names_the_input(self, capsys, monkeypatch):
+        real = cli.low_weight_elements
+        monkeypatch.setattr(
+            cli, "low_weight_elements",
+            lambda g, mode, cap: [] if mode == "fast" else real(g, mode=mode, cap=cap),
+        )
+        code, out, err = run_capture(capsys, ["enumerate", "--family", "star", "--n", "5"])
+        assert (code, out) == (4, "")
+        assert err == (
+            "internal consistency failure: brute and fast enumerations disagree "
+            "(brute=10 fast=0 graph6=Ds_)\n"
+        )
+
     def test_fast_rejects_disconnected(self, capsys):
         code, _, _ = run_capture(
             capsys,
@@ -363,6 +376,11 @@ class TestErrors:
         assert code == 2
         code, _, _ = run_capture(capsys, ["analyze", "--file", str(tmp_path / "missing.col")])
         assert code == 2
+        undecodable = tmp_path / "bytes.col"
+        undecodable.write_bytes(b"p edge 2 1\ne 1 2\n\xff\n")
+        code, out, err = run_capture(capsys, ["analyze", "--file", str(undecodable)])
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: cannot read")
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
