@@ -31,13 +31,23 @@ from .graphs import (
 from .pauli import DEFAULT_BRUTE_CAP, low_weight_elements
 from .theorem import check_equivalence, graph6_detail, reproduction
 
-# Hard ceilings on the user-raisable caps: both routes cost 2**n time and memory.
+# Hard ceilings on the user-raisable caps. The oracle costs 2**n time and memory;
+# the brute route costs O(n**2) row XORs, so its ceiling is contract, not cost.
 ORACLE_CEILING = 20
 BRUTE_CEILING = 28
 
 
 class UsageError(Exception):
     pass
+
+
+def _single_edge_components(g: Graph) -> int:
+    """Number of components that are one edge: two vertices, each the other's only neighbour."""
+    return sum(
+        1
+        for u, row in enumerate(g.adj)
+        if row.bit_count() == 1 and g.adj[row.bit_length() - 1] == 1 << u
+    ) // 2
 
 
 def format_report(
@@ -77,7 +87,16 @@ def format_report(
     # local unitary group has dimension 3n+1; the orbit gets the rest
     lines.append(f"orbit_dimension: {3 * g.n + 1 - a.dimension} (derived)")
     lines.append(f"g2: {a.g2}")
-    note = " (expected boundary for n = 2)" if g.n == 2 and not holds else ""
+    # Each single-edge component adds 3 to the dimension but 2 to g2.
+    gap = a.dimension - a.g2
+    note = ""
+    if gap and gap == _single_edge_components(g):
+        plural = "s" if gap > 1 else ""
+        note = (
+            " (expected boundary for n = 2)"
+            if g.n == 2
+            else f" (expected boundary: {gap} component{plural} with n = 2)"
+        )
     lines.append(f"theorem_holds: {yes_no[holds]}{note}")
     if nullity is not None:
         lines.append(f"oracle_nullity: {nullity}")

@@ -76,6 +76,17 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
 
     @classmethod
+    def _from_symmetric_rows(cls, n: int, rows) -> "Graph":
+        """Graph from rows that are symmetric, loop-free and within n bits by
+        construction; skips the per-edge checks of ``__post_init__``."""
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(rows))
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -85,7 +96,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls._from_symmetric_rows(n, rows)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
@@ -166,7 +177,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphParseError("missing 'p edge <n> <m>' line")
     if found != m:
         raise GraphParseError(f"'p' line declares {m} edges, found {found}")
-    return Graph(n, tuple(rows))
+    return Graph._from_symmetric_rows(n, rows)
 
 
 def encode_edge_list(g: Graph) -> str:

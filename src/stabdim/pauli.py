@@ -105,10 +105,13 @@ def low_weight_elements(
     """All non-identity stabilizer elements with support of size <= 2.
 
     Returned as (exponent vector, element) pairs sorted by exponent vector.
-    ``brute`` enumerates all 2**n exponent vectors (needs n <= cap) and works
-    for any graph; ``fast`` needs a connected graph on >= 2 vertices and
-    reads the elements off degree-1 vertices and twin classes found in one
-    pass, O(n + m + output). The two modes return identical lists.
+    ``brute`` works for any graph with n <= cap and reads ``g.adj`` only: the
+    X part of a product of generators is its exponent vector, so it tests
+    the n singles and n(n-1)/2 pairs of generators, O(n**2) row XORs, and
+    nothing that groups vertices into classes. ``fast`` needs a connected
+    graph on >= 2 vertices and reads the elements off degree-1 vertices and
+    twin classes found in one pass, O(n + m + output). The two modes return
+    identical lists.
     """
     if mode == "brute":
         return _low_weight_brute(g, cap)
@@ -120,15 +123,19 @@ def low_weight_elements(
 def _low_weight_brute(g: Graph, cap: int) -> list[tuple[int, PauliString]]:
     if g.n > cap:
         raise ConstraintError(f"brute enumeration caps at n={cap}, got n={g.n}")
-    # Gray-code walk: one generator toggled per step keeps the z mask current.
-    hits = []
-    e = zmask = 0
-    for k in range(1, 1 << g.n):
-        i = (k & -k).bit_length() - 1
-        e ^= 1 << i
-        zmask ^= g.adj[i]
-        if (e | zmask).bit_count() <= 2:
-            hits.append(e)
+    # The X part of prod_{i in e} g_i is e itself, so weight <= 2 needs |e| <= 2:
+    # {i} has support {i} | adj[i], so it qualifies iff deg(i) <= 1, and {i, j}
+    # has support {i, j} | (adj[i] ^ adj[j]), so it qualifies iff the rows
+    # differ only inside {i, j}. Rows never hold their own vertex, so there
+    # they differ in both of i and j (i ~ j) or in neither.
+    adj = g.adj
+    hits = [1 << i for i, row in enumerate(adj) if row.bit_count() <= 1]
+    for j in range(1, g.n):
+        row_j, bit_j = adj[j], 1 << j
+        for i in range(j):
+            diff = adj[i] ^ row_j
+            if not diff or diff == 1 << i | bit_j:
+                hits.append(1 << i | bit_j)
     hits.sort()
     gens = graph_generators(g)
     out = [(e, element(gens, e)) for e in hits]

@@ -18,10 +18,17 @@ from stabdim.configurations import (
 )
 from stabdim.errors import ConstraintError
 from stabdim.graphs import Graph, bit_indices, connected_components, generate, is_connected
-from stabdim.oracle import DEFAULT_ORACLE_CAP, CoefficientVector, apply_pauli, build_statevector
+from stabdim.oracle import (
+    DEFAULT_ORACLE_CAP,
+    CoefficientVector,
+    _bit_pattern,
+    apply_pauli,
+    build_statevector,
+)
 from stabdim.pauli import (
     DEFAULT_BRUTE_CAP,
     PauliString,
+    element,
     g2_rank,
     graph_generators,
     low_weight_elements,
@@ -245,6 +252,66 @@ def reference_gram_blocks(g: Graph, cap: int = DEFAULT_ORACLE_CAP):
 def is_stabilized(p: PauliString, v) -> bool:
     """True iff p fixes the ExactStateVector v exactly, sign included."""
     return apply_pauli(p, v) == v
+
+
+def sign_mask_state(g: Graph) -> tuple[int, list[int]]:
+    """The graph state as 2**n-bit sign masks: (v0, bits).
+
+    Bit y of v0 is set iff amplitude y is -1, i.e. y holds both ends of an
+    odd number of edges; ``bits[a]`` has bit y set iff bit a of y is set.
+    """
+    bits = [_bit_pattern(g.n, a) for a in range(g.n)]
+    v0 = 0
+    for u, v in g.edges():
+        v0 ^= bits[u] & bits[v]
+    return v0, bits
+
+
+def is_stabilized_by_masks(p: PauliString, state) -> bool:
+    """``is_stabilized`` on the sign masks of ``sign_mask_state``: True iff p
+    fixes the graph state exactly, sign included.
+
+    p = i**k X^x Z^z sends amplitude y ^ x, times (-1)**|(y ^ x) & z|, to
+    amplitude y. An odd k makes the real state imaginary, Z^z flips the signs
+    where an odd number of z's bits is set, X^x swaps the blocks of 2**a
+    amplitudes for each bit a of x, and k = 2 flips every sign.
+    """
+    v0, bits = state
+    if p.n != len(bits):
+        raise ValueError(f"size mismatch: operator on {p.n} qubits, state on {len(bits)}")
+    if p.phase_exp & 1:
+        return False
+    w = v0
+    for a in bit_indices(p.z):
+        w ^= bits[a]
+    for a in bit_indices(p.x):
+        shift = 1 << a
+        w = (w & bits[a]) >> shift | (w & ~bits[a]) << shift
+    if p.phase_exp == 2:
+        w ^= (1 << (1 << p.n)) - 1
+    return w == v0
+
+
+def reference_brute_exponents(g: Graph) -> list[int]:
+    """Sorted exponent vectors of the weight-<=2 elements by a walk over all
+    2**n - 1 non-zero ones: a Gray code toggles one generator per step, which
+    keeps the z mask of the product current."""
+    hits = []
+    e = zmask = 0
+    for k in range(1, 1 << g.n):
+        i = (k & -k).bit_length() - 1
+        e ^= 1 << i
+        zmask ^= g.adj[i]
+        if (e | zmask).bit_count() <= 2:
+            hits.append(e)
+    hits.sort()
+    return hits
+
+
+def reference_brute_elements(g: Graph) -> list[tuple[int, PauliString]]:
+    """(exponent vector, element) pairs of ``reference_brute_exponents``."""
+    gens = graph_generators(g)
+    return [(e, element(gens, e)) for e in reference_brute_exponents(g)]
 
 
 def corresponding_stabilizer_element(c: Configuration, n: int) -> PauliString:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import reference_brute_elements
 from stabdim.configurations import analyze
 from stabdim.graphs import Graph, encode_graph6, parse_graph6
 from stabdim.oracle import local_algebra_nullity
@@ -37,6 +38,16 @@ def test_three_routes_agree_on_every_connected_graph():
         expected = (3, 2, 3) if g.n == 2 else (triple[0],) * 3
         if triple != expected or a.g2 != brute_g2:
             mismatches.append((encode_graph6(g), triple, a.g2))
+    assert mismatches == []
+
+
+def test_brute_route_equals_the_walk_on_every_graph():
+    # Disconnected graphs and isolated vertices included.
+    mismatches = [
+        encode_graph6(g)
+        for _, g in ATLAS
+        if low_weight_elements(g, mode="brute") != reference_brute_elements(g)
+    ]
     assert mismatches == []
 
 

@@ -91,6 +91,46 @@ class TestAnalyze:
         assert code == 0
         assert "mode: component-sum extension" in out
 
+    def test_components_with_single_edge_explain_the_gap(self, capsys):
+        code, out, err = run_capture(capsys, ["analyze", "--graph6", "B_", "--components"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "source: graph6 B_\n"
+            "n: 3\n"
+            "m: 1\n"
+            "connected: no\n"
+            "mode: component-sum extension\n"
+            "configurations:\n"
+            "  leaf a=0 b=1 generator X(0)-Z(1)\n"
+            "  leaf a=1 b=0 generator X(1)-Z(0)\n"
+            "  closed_twin a=0 b=1 generator Y(0)-Y(1)\n"
+            "dimension: 4\n"
+            "orbit_dimension: 6 (derived)\n"
+            "g2: 3\n"
+            "theorem_holds: no (expected boundary: 1 component with n = 2)\n"
+            "oracle_nullity: 4\n"
+            "oracle_agrees: yes\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edges,note",
+        [
+            ([(0, 1), (2, 3)], " (expected boundary: 2 components with n = 2)"),
+            ([(0, 1), (2, 3), (3, 4)], " (expected boundary: 1 component with n = 2)"),
+            ([(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)],
+             " (expected boundary: 1 component with n = 2)"),
+            ([(0, 1), (1, 2), (2, 3)], None),
+        ],
+    )
+    def test_single_edge_component_note(self, capsys, tmp_path, edges, note):
+        n = 1 + max(v for e in edges for v in e)
+        path = tmp_path / "g.col"
+        path.write_text(graphs.encode_edge_list(graphs.Graph.from_edges(n, edges)))
+        code, out, _ = run_capture(capsys, ["analyze", "--file", str(path), "--components"])
+        assert code == 0
+        holds = [line for line in out.splitlines() if line.startswith("theorem_holds:")]
+        assert holds == ["theorem_holds: yes" if note is None else "theorem_holds: no" + note]
+
     def test_single_vertex(self, capsys):
         code, _, _ = run_capture(capsys, ["analyze", "--family", "path", "--n", "1"])
         assert code == 3

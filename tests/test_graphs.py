@@ -46,6 +46,26 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
 
+    @given(graphs_strategy(min_n=2, max_n=12), st.data())
+    @settings(max_examples=60)
+    def test_caller_built_rows_still_checked(self, g, data):
+        # The parsers, from_edges and relabel skip the symmetry check; their
+        # rows must pass it, and a caller's Graph(n, adj) is still checked.
+        trusted = [
+            g,
+            g.relabel(list(reversed(range(g.n)))),
+            parse_edge_list(encode_edge_list(g)),
+            parse_graph6(encode_graph6(g)),
+        ]
+        for h in trusted:
+            assert Graph(h.n, h.adj) == h
+        if g.m:
+            u, v = data.draw(st.sampled_from(g.edges()))
+            rows = list(g.adj)
+            rows[u] ^= 1 << v
+            with pytest.raises(ValueError, match="not symmetric"):
+                Graph(g.n, tuple(rows))
+
     def test_rejects_empty_and_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(0, ())
@@ -116,6 +136,7 @@ class TestEdgeList:
             raise AssertionError("graph built despite the ceiling")
 
         monkeypatch.setattr(Graph, "__init__", no_graph)
+        monkeypatch.setattr(Graph, "_from_symmetric_rows", no_graph)
         with pytest.raises(ConstraintError, match=f"cap at n={EDGE_LIST_MAX_N}, got n={n}"):
             parse_edge_list(f"p edge {n} 0\ne 1 2")
 

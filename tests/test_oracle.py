@@ -13,9 +13,11 @@ from helpers import (
     connected_graphs_strategy,
     graphs_strategy,
     is_stabilized,
+    is_stabilized_by_masks,
     local_complement,
     rational_rank,
     reference_gram_blocks,
+    sign_mask_state,
     slot_coefficient_vector,
 )
 from stabdim.configurations import analyze, detect_configurations, lie_generator
@@ -32,7 +34,7 @@ from stabdim.oracle import (
     matrix_rank,
     nullspace_basis,
 )
-from stabdim.pauli import PauliString, graph_generators
+from stabdim.pauli import PauliString, element, graph_generators
 
 
 def direct_stacked_nullity(g):
@@ -229,6 +231,48 @@ class TestGramBlocks:
     @settings(max_examples=40, deadline=None)
     def test_equal_to_reference_random(self, g):
         assert _gram_blocks(g, DEFAULT_ORACLE_CAP) == reference_gram_blocks(g)
+
+
+def stabilization_probes(g):
+    """Every product of at most two generators with each of the four phases,
+    plus every single-qubit X, Y and Z: stabilizers, sign-flipped and
+    imaginary multiples of them, and mostly non-stabilizers."""
+    gens = graph_generators(g)
+    probes = []
+    for e in range(1 << g.n):
+        if e.bit_count() <= 2:
+            p = element(gens, e)
+            probes += [PauliString(g.n, p.x, p.z, p.phase_exp + k) for k in range(4)]
+    probes += [PauliString.single(g.n, a, axis) for a in range(g.n) for axis in "XYZ"]
+    return probes
+
+
+class TestSignMaskStabilization:
+    def test_equal_to_amplitudes_exhaustive(self):
+        fixed = checked = 0
+        for n in range(1, 6):
+            for g in all_labeled_graphs(n):
+                v, state = build_statevector(g), sign_mask_state(g)
+                for p in stabilization_probes(g):
+                    expected = is_stabilized(p, v)
+                    assert is_stabilized_by_masks(p, state) == expected, (g, p)
+                    fixed += expected
+                    checked += 1
+        assert 0 < fixed < checked
+
+    @given(graphs_strategy(min_n=1, max_n=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_amplitudes_random(self, g, data):
+        full = st.integers(0, (1 << g.n) - 1)
+        p = data.draw(st.builds(PauliString, st.just(g.n), full, full, st.integers(0, 3)))
+        v, state = build_statevector(g), sign_mask_state(g)
+        q = element(graph_generators(g), p.x)
+        for probe in (p, PauliString(g.n, q.x, q.z, p.phase_exp)):
+            assert is_stabilized_by_masks(probe, state) == is_stabilized(probe, v)
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError):
+            is_stabilized_by_masks(PauliString.identity(3), sign_mask_state(generate("path", 2)))
 
 
 class TestInvariance:

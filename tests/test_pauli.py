@@ -165,8 +165,10 @@ class TestLowWeight:
         ]
 
     def test_brute_cap(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError, match="^brute enumeration caps at n=4, got n=5$"):
             low_weight_elements(generate("path", 5), "brute", cap=4)
+        with pytest.raises(ConstraintError, match="^brute enumeration caps at n=24, got n=25$"):
+            low_weight_elements(generate("path", 25), "brute")
 
     def test_fast_requires_connected(self):
         with pytest.raises(ConstraintError):
