@@ -22,18 +22,21 @@ from .errors import ConsistencyError, ConstraintError, GraphParseError
 from .graphs import (
     FAMILIES,
     Graph,
+    check_family,
+    check_graph6_size,
     encode_edge_list,
     encode_graph6,
     generate,
     parse_edge_list,
     parse_graph6,
 )
-from .pauli import DEFAULT_BRUTE_CAP, low_weight_elements
+from .pauli import low_weight_elements
 from .theorem import check_equivalence, graph6_detail, reproduction
 
 # Hard ceilings on the user-raisable caps. The oracle costs 2**n time and memory;
-# the brute route costs O(n**2) row XORs, so its ceiling is contract, not cost.
+# brute enumeration O(n**2) row XORs, so its cap and ceiling are contract, not cost.
 ORACLE_CEILING = 20
+DEFAULT_BRUTE_CAP = 24
 BRUTE_CEILING = 28
 
 
@@ -104,12 +107,14 @@ def format_report(
     return "\n".join(lines) + "\n"
 
 
-def _generate(args) -> Graph:
+def _family_args(args) -> tuple:
+    """``generate``'s arguments, refusing what it would refuse before any edge is built."""
     if args.family == "gnp" and args.p is None:
         raise UsageError("family gnp requires --p")
     if args.family != "gnp" and args.p is not None:
         raise UsageError(f"--p only applies to family gnp, not {args.family}")
-    return generate(args.family, args.n, p=args.p, seed=args.seed)
+    check_family(args.family, args.n, args.p)
+    return args.family, args.n, args.p, args.seed
 
 
 def _load_graph(args) -> tuple[Graph, str]:
@@ -133,7 +138,7 @@ def _load_graph(args) -> tuple[Graph, str]:
         return parse_graph6(args.graph6), f"graph6 {args.graph6}"
     if args.n is None:
         raise UsageError("--family requires --n")
-    g = _generate(args)
+    g = generate(*_family_args(args))
     detail = f"n={args.n}"
     if args.p is not None:
         detail += f",p={args.p}"
@@ -182,7 +187,7 @@ def _cmd_enumerate(args) -> int:
     modes = ("brute", "fast") if args.mode == "both" else (args.mode,)
     if "brute" in modes and g.n > args.enumerate_max_n:
         raise ConstraintError(f"enumeration cap is n={args.enumerate_max_n}, got n={g.n}")
-    results = {mode: low_weight_elements(g, mode=mode, cap=args.enumerate_max_n) for mode in modes}
+    results = {mode: low_weight_elements(g, mode=mode) for mode in modes}
     if len(results) == 2 and results["brute"] != results["fast"]:
         detail = f"brute={len(results['brute'])} fast={len(results['fast'])}{graph6_detail(g)}"
         raise ConsistencyError(f"brute and fast enumerations disagree ({detail})")
@@ -196,11 +201,12 @@ def _cmd_enumerate(args) -> int:
 def _cmd_gen(args) -> int:
     if args.family is None or args.n is None:
         raise UsageError("gen requires --family and --n")
-    g = _generate(args)
+    family_args = _family_args(args)
     if args.format == "graph6":
-        sys.stdout.write(encode_graph6(g) + "\n")
+        check_graph6_size(args.n)
+        sys.stdout.write(encode_graph6(generate(*family_args)) + "\n")
     else:
-        sys.stdout.write(encode_edge_list(g))
+        sys.stdout.write(encode_edge_list(generate(*family_args)))
     return 0
 
 

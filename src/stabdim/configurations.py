@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ConstraintError
 from .graphs import Graph, is_connected, twin_classes
-from .pauli import fast_exponents, g2_rank
+from .pauli import g2_rank
 
 TWIN = "twin"
 LEAF = "leaf"
@@ -62,8 +62,9 @@ def analyze(g: Graph) -> Analysis:
     leaves, open_classes, closed_classes = twin_classes(g)
     leaf_configs = [Configuration(LEAF, a, g.adj[a].bit_length() - 1) for a in leaves]
     pairs = {}
-    # A class of k vertices spans the same slots as a chain of k - 1 of its
-    # pairs, so the union-find never needs the Theta(k^2) pair list.
+    # A class of k vertices spans the same slots, and the same exponent vectors,
+    # as a chain of k - 1 of its pairs, so neither the union-find nor the g2
+    # rank needs the Theta(k^2) pair list. A leaf a stands for generator g_a.
     chains = list(leaf_configs)
     for kind, classes in ((TWIN, open_classes), (CLOSED_TWIN, closed_classes)):
         found = sorted((a, b) for c in classes for i, a in enumerate(c) for b in c[i + 1:])
@@ -75,7 +76,7 @@ def analyze(g: Graph) -> Analysis:
         connected=is_connected(g),
         configurations=pairs[TWIN] + leaf_configs + pairs[CLOSED_TWIN],
         dimension=isolated + slot_span_rank(lie_generator(c) for c in chains),
-        g2=isolated + g2_rank(fast_exponents(leaves, open_classes, closed_classes)),
+        g2=isolated + g2_rank(1 << c.a | (0 if c.kind == LEAF else 1 << c.b) for c in chains),
     )
 
 

@@ -221,10 +221,15 @@ def parse_graph6(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def check_graph6_size(n: int) -> None:
+    """Refuse (ConstraintError) an n beyond graph6's one-byte size form."""
+    if n > 62:
+        raise ConstraintError(f"graph6 one-byte size form caps at n=62, got n={n}")
+
+
 def encode_graph6(g: Graph) -> str:
     """Inverse of parse_graph6; requires n <= 62."""
-    if g.n > 62:
-        raise ConstraintError(f"graph6 one-byte size form caps at n=62, got n={g.n}")
+    check_graph6_size(g.n)
     chunks = [g.n]
     acc = width = 0
     for v in range(1, g.n):
@@ -239,16 +244,21 @@ def encode_graph6(g: Graph) -> str:
     return "".join(chr(c + 63) for c in chunks)
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0."""
-    seen = frontier = 1
+def _reach(g: Graph, start: int) -> int:
+    """Bit set of the vertices reachable from ``start``, one frontier per step."""
+    seen = frontier = 1 << start
     while frontier:
         grown = 0
         for u in bit_indices(frontier):
             grown |= g.adj[u]
         frontier = grown & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff every vertex is reachable from vertex 0."""
+    return _reach(g, 0) == (1 << g.n) - 1
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -256,14 +266,7 @@ def connected_components(g: Graph) -> list[list[int]]:
     unvisited = (1 << g.n) - 1
     components = []
     while unvisited:
-        start = (unvisited & -unvisited).bit_length() - 1
-        seen = frontier = 1 << start
-        while frontier:
-            grown = 0
-            for u in bit_indices(frontier):
-                grown |= g.adj[u]
-            frontier = grown & ~seen
-            seen |= frontier
+        seen = _reach(g, (unvisited & -unvisited).bit_length() - 1)
         components.append(bit_indices(seen))
         unvisited &= ~seen
     return components
@@ -336,25 +339,32 @@ def _random_tree_edges(n: int, rng: XorShift64Star) -> list[tuple[int, int]]:
     return edges
 
 
-def generate(family: str, n: int, p: float | None = None, seed: int = 0) -> Graph:
-    """Deterministically generate a named family or seeded random graph.
-
-    path = 0-1-...-(n-1); cycle = path plus (n-1, 0); star = center 0 joined
-    to all others; complete = all pairs; tree = uniform random labeled tree;
-    gnp = each pair kept independently with probability p. ``n`` above
-    ``EDGE_LIST_MAX_N`` is refused (ConstraintError) before any edge is built.
-    """
+def check_family(family: str, n: int, p: float | None = None) -> None:
+    """Refuse (ConstraintError) what ``generate`` cannot build; builds nothing."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if n < 1:
         raise ConstraintError(f"family {family!r} needs n >= 1, got {n}")
     if n > EDGE_LIST_MAX_N:
         raise ConstraintError(f"family {family!r} caps at n={EDGE_LIST_MAX_N}, got n={n}")
+    if family == "cycle" and n < 3:
+        raise ConstraintError(f"cycle needs n >= 3, got {n}")
+    if family == "gnp" and (p is None or not 0.0 <= p <= 1.0):
+        raise ConstraintError(f"gnp needs a probability p in [0, 1], got {p!r}")
+
+
+def generate(family: str, n: int, p: float | None = None, seed: int = 0) -> Graph:
+    """Deterministically generate a named family or seeded random graph.
+
+    path = 0-1-...-(n-1); cycle = path plus (n-1, 0); star = center 0 joined
+    to all others; complete = all pairs; tree = uniform random labeled tree;
+    gnp = each pair kept independently with probability p. ``check_family``
+    runs first, so its refusals come before any edge is built.
+    """
+    check_family(family, n, p)
     if family == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif family == "cycle":
-        if n < 3:
-            raise ConstraintError(f"cycle needs n >= 3, got {n}")
         edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
     elif family == "star":
         edges = [(0, i) for i in range(1, n)]
@@ -363,8 +373,6 @@ def generate(family: str, n: int, p: float | None = None, seed: int = 0) -> Grap
     elif family == "tree":
         edges = _random_tree_edges(n, XorShift64Star(seed))
     else:  # gnp
-        if p is None or not 0.0 <= p <= 1.0:
-            raise ConstraintError(f"gnp needs a probability p in [0, 1], got {p!r}")
         rng = XorShift64Star(seed)
         threshold = int(p * 2**64)
         edges = [

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, ConstraintError
 from .graphs import Graph, bit_indices, is_connected, twin_classes
 
-DEFAULT_BRUTE_CAP = 24
-
 _SIGNS = ("+", "+i", "-", "-i")
 _AXIS_BITS = {"X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 
@@ -99,48 +97,37 @@ def element(gens: list[PauliString], exponents: int) -> PauliString:
     return out
 
 
-def low_weight_elements(
-    g: Graph, mode: str = "brute", cap: int = DEFAULT_BRUTE_CAP
-) -> list[tuple[int, PauliString]]:
+def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliString]]:
     """All non-identity stabilizer elements with support of size <= 2.
 
     Returned as (exponent vector, element) pairs sorted by exponent vector.
-    ``brute`` works for any graph with n <= cap and reads ``g.adj`` only: the
-    X part of a product of generators is its exponent vector, so it tests
-    the n singles and n(n-1)/2 pairs of generators, O(n**2) row XORs, and
-    nothing that groups vertices into classes. ``fast`` needs a connected
-    graph on >= 2 vertices and reads the elements off degree-1 vertices and
-    twin classes found in one pass, O(n + m + output). The two modes return
-    identical lists.
+    ``brute`` works for any graph and reads ``g.adj`` only: the X part of a
+    product of generators is its exponent vector, so it tests the n singles
+    and n(n-1)/2 pairs of generators, O(n**2) row XORs, and nothing that
+    groups vertices into classes. ``fast`` needs a connected graph on >= 2
+    vertices and reads the elements off degree-1 vertices and twin classes
+    found in one pass, O(n + m + output). The modes differ only in how they
+    pick the exponent vectors and return identical lists; on a connected
+    graph a weight-< 2 element raises ConsistencyError. Neither mode limits
+    n: the CLI's ``--enumerate-max-n`` is the only bound on the brute route.
     """
+    connected = g.n >= 2 and is_connected(g)
     if mode == "brute":
-        return _low_weight_brute(g, cap)
-    if mode == "fast":
-        return _low_weight_fast(g)
-    raise ValueError(f"unknown mode {mode!r}, expected 'brute' or 'fast'")
-
-
-def _low_weight_brute(g: Graph, cap: int) -> list[tuple[int, PauliString]]:
-    if g.n > cap:
-        raise ConstraintError(f"brute enumeration caps at n={cap}, got n={g.n}")
-    # The X part of prod_{i in e} g_i is e itself, so weight <= 2 needs |e| <= 2:
-    # {i} has support {i} | adj[i], so it qualifies iff deg(i) <= 1, and {i, j}
-    # has support {i, j} | (adj[i] ^ adj[j]), so it qualifies iff the rows
-    # differ only inside {i, j}. Rows never hold their own vertex, so there
-    # they differ in both of i and j (i ~ j) or in neither.
-    adj = g.adj
-    hits = [1 << i for i, row in enumerate(adj) if row.bit_count() <= 1]
-    for j in range(1, g.n):
-        row_j, bit_j = adj[j], 1 << j
-        for i in range(j):
-            diff = adj[i] ^ row_j
-            if not diff or diff == 1 << i | bit_j:
-                hits.append(1 << i | bit_j)
-    hits.sort()
+        exponents = _brute_exponents(g.adj)
+    elif mode == "fast":
+        if not connected:
+            raise ConstraintError("fast enumeration needs a connected graph on >= 2 vertices")
+        leaves, open_classes, closed_classes = twin_classes(g)
+        exponents = [1 << a for a in leaves]
+        for c in open_classes + closed_classes:
+            for i, a in enumerate(c):
+                exponents += [1 << a | 1 << b for b in c[i + 1:]]
+    else:
+        raise ValueError(f"unknown mode {mode!r}, expected 'brute' or 'fast'")
     gens = graph_generators(g)
-    out = [(e, element(gens, e)) for e in hits]
-    if g.n >= 2 and is_connected(g):
-        for e, p in out:
+    out = [(e, element(gens, e)) for e in sorted(exponents)]
+    if connected:
+        for _, p in out:
             if p.weight() < 2:
                 raise ConsistencyError(
                     f"weight-{p.weight()} stabilizer element {p} on a connected graph"
@@ -148,23 +135,20 @@ def _low_weight_brute(g: Graph, cap: int) -> list[tuple[int, PauliString]]:
     return out
 
 
-def _low_weight_fast(g: Graph) -> list[tuple[int, PauliString]]:
-    if g.n < 2 or not is_connected(g):
-        raise ConstraintError("fast enumeration needs a connected graph on >= 2 vertices")
-    gens = graph_generators(g)
-    return [(e, element(gens, e)) for e in fast_exponents(*twin_classes(g))]
-
-
-def fast_exponents(leaves, open_classes, closed_classes) -> list[int]:
-    """Sorted exponent vectors of the weight-<=2 elements of a graph with no
-    isolated vertex: generator a for a degree-1 vertex a, and the product of
-    generators a and b for two vertices of one open or closed twin class."""
-    out = [1 << a for a in leaves]
-    for c in open_classes + closed_classes:
-        for i, a in enumerate(c):
-            out += [1 << a | 1 << b for b in c[i + 1:]]
-    out.sort()
-    return out
+def _brute_exponents(adj: tuple[int, ...]) -> list[int]:
+    # The X part of prod_{i in e} g_i is e itself, so weight <= 2 needs |e| <= 2:
+    # {i} has support {i} | adj[i], so it qualifies iff deg(i) <= 1, and {i, j}
+    # has support {i, j} | (adj[i] ^ adj[j]), so it qualifies iff the rows
+    # differ only inside {i, j}. Rows never hold their own vertex, so there
+    # they differ in both of i and j (i ~ j) or in neither.
+    hits = [1 << i for i, row in enumerate(adj) if row.bit_count() <= 1]
+    for j in range(1, len(adj)):
+        row_j, bit_j = adj[j], 1 << j
+        for i in range(j):
+            diff = adj[i] ^ row_j
+            if not diff or diff == 1 << i | bit_j:
+                hits.append(1 << i | bit_j)
+    return hits
 
 
 def g2_rank(rows) -> int:

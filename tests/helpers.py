@@ -26,7 +26,6 @@ from stabdim.oracle import (
     build_statevector,
 )
 from stabdim.pauli import (
-    DEFAULT_BRUTE_CAP,
     PauliString,
     element,
     g2_rank,
@@ -336,11 +335,11 @@ def slot_coefficient_vector(pair: SlotPair, n: int) -> CoefficientVector:
     return CoefficientVector(Fraction(0), tuple(tuple(row) for row in t))
 
 
-def check_support_pairs(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> bool:
+def check_support_pairs(g: Graph) -> bool:
     """Every brute-enumerated weight-2 support is a detected configuration pair,
     and no weight-1 element exists."""
     pairs = {frozenset((c.a, c.b)) for c in detect_configurations(g)}
-    for _, p in low_weight_elements(g, mode="brute", cap=cap):
+    for _, p in low_weight_elements(g, mode="brute"):
         support = bit_indices(p.support())
         if len(support) != 2:
             return False
@@ -349,14 +348,14 @@ def check_support_pairs(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> bool:
     return True
 
 
-def check_pairwise_overlap(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> bool:
+def check_pairwise_overlap(g: Graph) -> bool:
     """Any two weight-2 elements overlap in at most one vertex, with equal letters there.
 
     Identical supports never occur on a connected graph with n >= 3; the
     2-vertex graph violates this literally (all three of its weight-2
     elements share the same support), matching the theorem's n >= 3 scope.
     """
-    elems = [p for _, p in low_weight_elements(g, mode="brute", cap=cap) if p.weight() == 2]
+    elems = [p for _, p in low_weight_elements(g, mode="brute") if p.weight() == 2]
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             inter = elems[i].support() & elems[j].support()
@@ -371,11 +370,11 @@ def check_pairwise_overlap(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> bool:
     return True
 
 
-def check_correspondence(g: Graph, cap: int = DEFAULT_BRUTE_CAP) -> bool:
+def check_correspondence(g: Graph) -> bool:
     """The map O(a)O(b) -> O(a)-O(b) preserves the number of independent elements."""
     if g.n < 3:
         raise ConstraintError(f"correspondence check needs n >= 3, got n={g.n}")
-    elems = low_weight_elements(g, mode="brute", cap=cap)
+    elems = low_weight_elements(g, mode="brute")
     mapped = []
     for _, p in elems:
         a, b = bit_indices(p.support())

@@ -19,12 +19,13 @@ from helpers import (
 from stabdim.configurations import analyze
 from stabdim.graphs import Graph, XorShift64Star, bit_indices, generate, is_connected
 from stabdim.pauli import g2_rank, low_weight_elements
+from stabdim.theorem import check_equivalence
 
 MAX_N = 16
 
 
 def assert_matches_reference(g):
-    assert low_weight_elements(g, "brute", cap=MAX_N) == reference_brute_elements(g)
+    assert low_weight_elements(g, "brute") == reference_brute_elements(g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -123,6 +124,9 @@ def test_independent_brute_g2_at_fastpath_sizes(name):
     # an independent check of the fast path's at sizes no 2**n walk reaches.
     g = FASTPATH_SIZES[name]()
     assert is_connected(g)
-    elements = low_weight_elements(g, "brute", cap=g.n)
-    assert g2_rank(e for e, _ in elements) == analyze(g).g2
+    elements = low_weight_elements(g, "brute")
+    g2 = g2_rank(e for e, _ in elements)
+    assert g2 == analyze(g).g2
     assert all(p.weight() == 2 for _, p in elements)
+    # check_equivalence raises on a dimension/g2 mismatch.
+    assert check_equivalence(g, element_mode="brute").g2 == g2

@@ -238,6 +238,18 @@ class TestEnumerate:
         )
         assert code == 3
 
+    def test_enumerate_max_n_is_the_only_brute_cap(self, capsys):
+        code, out, err = run_capture(capsys, ["enumerate", "--family", "path", "--n", "25"])
+        assert (code, out, err) == (
+            3, "", "constraint violation: enumeration cap is n=24, got n=25\n"
+        )
+        code, out, _ = run_capture(capsys, ["enumerate", "--family", "path", "--n", "24"])
+        assert (code, len(out.splitlines())) == (0, 2)
+        code, out, _ = run_capture(
+            capsys, ["enumerate", "--family", "path", "--n", "28", "--enumerate-max-n", "28"]
+        )
+        assert (code, len(out.splitlines())) == (0, 2)
+
     def test_fast_mode_allows_large(self, capsys):
         code, out, _ = run_capture(
             capsys, ["enumerate", "--family", "path", "--n", "30", "--mode", "fast"]
@@ -249,7 +261,7 @@ class TestEnumerate:
         real = cli.low_weight_elements
         monkeypatch.setattr(
             cli, "low_weight_elements",
-            lambda g, mode, cap: [] if mode == "fast" else real(g, mode=mode, cap=cap),
+            lambda g, mode: [] if mode == "fast" else real(g, mode=mode),
         )
         code, out, err = run_capture(capsys, ["enumerate", "--family", "star", "--n", "5"])
         assert (code, out) == (4, "")
@@ -357,6 +369,35 @@ class TestFamilyCeiling:
         assert err == (
             f"constraint violation: family {argv[2]!r} caps at n=65536, got n={n}\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            (["gen", "--family", "complete", "--n", "63"], 3,
+             "constraint violation: graph6 one-byte size form caps at n=62, got n=63\n"),
+            (["gen", "--family", "gnp", "--n", "65536", "--p", "0.5"], 3,
+             "constraint violation: graph6 one-byte size form caps at n=62, got n=65536\n"),
+            (["gen", "--family", "gnp", "--n", "63"], 1, "usage error: family gnp requires --p\n"),
+            (["gen", "--family", "gnp", "--n", "63", "--p", "1.5"], 3,
+             "constraint violation: gnp needs a probability p in [0, 1], got 1.5\n"),
+            (["gen", "--family", "star", "--n", "0"], 3,
+             "constraint violation: family 'star' needs n >= 1, got 0\n"),
+        ],
+    )
+    def test_graph6_refused_before_any_edge(self, capsys, monkeypatch, argv, code, err):
+        def no_edges(*args):
+            raise AssertionError("edges built despite the graph6 size limit")
+
+        monkeypatch.setattr(graphs, "range", no_edges, raising=False)
+        assert run_capture(capsys, argv) == (code, "", err)
+
+    def test_graph6_size_boundary(self, capsys):
+        code, out, _ = run_capture(capsys, ["gen", "--family", "complete", "--n", "62"])
+        assert (code, len(out)) == (0, 1 + 1 + (62 * 61 // 2 + 5) // 6)
+        code, out, _ = run_capture(
+            capsys, ["gen", "--family", "complete", "--n", "63", "--format", "edge-list"]
+        )
+        assert (code, out.splitlines()[0]) == (0, "p edge 63 1953")
 
 
 class TestEdgeListCeiling:

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import connected_graphs_strategy, graphs_strategy, is_stabilized
-from stabdim.errors import ConstraintError
+from stabdim import pauli
+from stabdim.errors import ConsistencyError, ConstraintError
 from stabdim.graphs import Graph, bit_indices, generate
 from stabdim.oracle import apply_pauli, build_statevector
 from stabdim.pauli import (
@@ -164,11 +165,23 @@ class TestLowWeight:
             (12, "+IIXX"),
         ]
 
-    def test_brute_cap(self):
-        with pytest.raises(ConstraintError, match="^brute enumeration caps at n=4, got n=5$"):
-            low_weight_elements(generate("path", 5), "brute", cap=4)
-        with pytest.raises(ConstraintError, match="^brute enumeration caps at n=24, got n=25$"):
-            low_weight_elements(generate("path", 25), "brute")
+    def test_brute_has_no_library_cap(self):
+        # The CLI's --enumerate-max-n is the only bound on the brute route.
+        g = generate("path", 30)
+        assert low_weight_elements(g, "brute") == low_weight_elements(g, "fast")
+
+    @pytest.mark.parametrize("mode", ["brute", "fast"])
+    def test_weight_below_two_on_connected_graph_raises(self, monkeypatch, mode):
+        # Both modes share the tail that builds the elements and checks them.
+        monkeypatch.setattr(pauli, "element", lambda gens, e: PauliString.single(3, 0, "X"))
+        with pytest.raises(
+            ConsistencyError, match=r"^weight-1 stabilizer element \+XII on a connected graph$"
+        ):
+            low_weight_elements(generate("path", 3), mode)
+
+    def test_isolated_vertex_gives_weight_one_without_error(self):
+        got = low_weight_elements(Graph.from_edges(3, [(0, 1)]), "brute")
+        assert [(e, str(p)) for e, p in got] == [(1, "+XZI"), (2, "+ZXI"), (3, "+YYI"), (4, "+IIX")]
 
     def test_fast_requires_connected(self):
         with pytest.raises(ConstraintError):
