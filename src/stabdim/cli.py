@@ -13,7 +13,6 @@ failure (a route disagreement, which always means a bug).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import oracle
@@ -59,6 +58,8 @@ def format_report(
     holds = a.dimension == a.g2
     agrees = None if nullity is None else nullity == a.dimension
     if mode == "machine":
+        import json
+
         record = {
             "n": g.n,
             "m": g.m,

@@ -9,7 +9,7 @@ slot graph), which union-find computes with no arithmetic at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConstraintError
 from .graphs import Graph, is_connected, twin_classes
@@ -20,41 +20,32 @@ LEAF = "leaf"
 CLOSED_TWIN = "closed_twin"
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(namedtuple("Configuration", "kind a b")):
     """One detected instance; for leaf, ``a`` is the degree-1 vertex."""
 
-    kind: str
-    a: int
-    b: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SlotPair:
+class SlotPair(namedtuple("SlotPair", "p q")):
     """The generator O_p - O_q on two (vertex, axis) slots."""
 
-    p: tuple[int, str]
-    q: tuple[int, str]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.p[1]}({self.p[0]})-{self.q[1]}({self.q[0]})"
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(namedtuple("Analysis", "n connected configurations dimension g2")):
     """The fast path's result: one connectivity pass, one twin-class pass.
 
     ``dimension`` and ``g2`` come from the same twin classes, so their
     agreement is no independent check (brute enumeration and the oracle are).
     A disconnected graph gets component sums, each isolated vertex adding 1;
     only the oracle backs that extension, as the theory covers connected graphs.
+    ``configurations`` is a list of ``Configuration``.
     """
 
-    n: int
-    connected: bool
-    configurations: list[Configuration]
-    dimension: int
-    g2: int
+    __slots__ = ()
 
 
 def analyze(g: Graph) -> Analysis:

@@ -28,7 +28,7 @@ G(n, p) edge inclusion tests ``next_u64() < int(p * 2**64)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConstraintError, GraphParseError
 
@@ -53,38 +53,37 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n adj")):
     """Simple undirected graph: vertex count plus one adjacency bit-row per vertex."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        if len(self.adj) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
+    def __new__(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        if len(adj) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+        full = (1 << n) - 1
+        for u, row in enumerate(adj):
             if row & ~full:
-                raise ValueError(f"adjacency row {u} has bits beyond vertex {self.n - 1}")
+                raise ValueError(f"adjacency row {u} has bits beyond vertex {n - 1}")
             if (row >> u) & 1:
                 raise ValueError(f"self-loop at vertex {u}")
             for v in bit_indices(row):
-                if not (self.adj[v] >> u) & 1:
+                if not (adj[v] >> u) & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        return tuple.__new__(cls, (n, adj))
+
+    # ``_replace`` builds through ``_make``, so it runs the checks too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def _from_symmetric_rows(cls, n: int, rows) -> "Graph":
         """Graph from rows that are symmetric, loop-free and within n bits by
-        construction; skips the per-edge checks of ``__post_init__``."""
+        construction; skips the per-edge checks of ``__new__``."""
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(rows))
-        return g
+        return tuple.__new__(cls, (n, tuple(rows)))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

@@ -26,8 +26,7 @@ for tests; the nullity route does not use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .errors import ConstraintError
 from .graphs import Graph
@@ -36,21 +35,17 @@ from .pauli import PauliString
 DEFAULT_ORACLE_CAP = 14
 
 
-@dataclass(frozen=True)
-class ExactStateVector:
+class ExactStateVector(namedtuple("ExactStateVector", "n re im")):
     """2**n Gaussian-integer amplitudes, stored as parallel re/im tuples."""
 
-    n: int
-    re: tuple[int, ...]
-    im: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """One solution (theta, per-vertex (t_x, t_y, t_z)) of the stabilization system."""
+class CoefficientVector(namedtuple("CoefficientVector", "theta t")):
+    """One solution (theta, per-vertex (t_x, t_y, t_z)) of the stabilization
+    system, every entry a Fraction."""
 
-    theta: Fraction
-    t: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    __slots__ = ()
 
 
 def build_statevector(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> ExactStateVector:
@@ -135,6 +130,8 @@ def matrix_rank(rows) -> int:
 
 def _nullspace(rows, ncols: int) -> list[list[Fraction]]:
     """Rational nullspace basis, one vector per free column, free column set to 1."""
+    from fractions import Fraction
+
     echelon, pivot_cols = bareiss_echelon(rows)
     pivots = set(pivot_cols)
     basis = []
@@ -205,6 +202,8 @@ def local_algebra_nullity(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
 def nullspace_basis(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> list[CoefficientVector]:
     """Exact rational basis of the stabilization solution space."""
+    from fractions import Fraction
+
     n = g.n
     real_block, imag_block = _gram_blocks(g, cap)
     zero = Fraction(0)

@@ -14,28 +14,28 @@ generator, so GF(2) row reduction works directly on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConsistencyError, ConstraintError
 from .graphs import Graph, bit_indices, is_connected, twin_classes
 
 _SIGNS = ("+", "+i", "-", "-i")
 _AXIS_BITS = {"X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
+# Letter of one qubit, indexed by x_bit | z_bit << 1.
+_LETTERS = "IXZY"
 
 
-@dataclass(frozen=True)
-class PauliString:
-    n: int
-    x: int
-    z: int
-    phase_exp: int = 0
+class PauliString(namedtuple("PauliString", "n x z phase_exp")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        full = (1 << self.n) - 1
-        if self.x & ~full or self.z & ~full:
-            raise ValueError(f"x/z bits beyond qubit {self.n - 1}")
-        if not 0 <= self.phase_exp < 4:
-            object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+    def __new__(cls, n: int, x: int, z: int, phase_exp: int = 0) -> "PauliString":
+        full = (1 << n) - 1
+        if x & ~full or z & ~full:
+            raise ValueError(f"x/z bits beyond qubit {n - 1}")
+        return tuple.__new__(cls, (n, x, z, phase_exp % 4))
+
+    # ``_replace`` builds through ``_make``, so it runs the checks too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
@@ -55,8 +55,7 @@ class PauliString:
         return self.support().bit_count()
 
     def letter(self, qubit: int) -> str:
-        pair = ((self.x >> qubit) & 1, (self.z >> qubit) & 1)
-        return {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[pair]
+        return _LETTERS[(self.x >> qubit) & 1 | ((self.z >> qubit) & 1) << 1]
 
     def letters(self) -> str:
         return "".join(self.letter(a) for a in range(self.n))
@@ -90,11 +89,18 @@ def graph_generators(g: Graph) -> list[PauliString]:
 
 
 def element(gens: list[PauliString], exponents: int) -> PauliString:
-    """Product of ``gens[i]`` over the set bits of ``exponents``."""
-    out = PauliString.identity(gens[0].n if gens else 0)
+    """Product of ``gens[i]`` over the set bits of ``exponents``, built once.
+
+    The x and z parts add mod 2; the phase gathers what ``multiply`` would add
+    at each step, (-1) per Z accumulated so far reordered past the next X.
+    """
+    x = z = phase = 0
     for i in bit_indices(exponents):
-        out = multiply(out, gens[i])
-    return out
+        q = gens[i]
+        phase += q.phase_exp + 2 * (z & q.x).bit_count()
+        x ^= q.x
+        z ^= q.z
+    return PauliString(gens[0].n if gens else 0, x, z, phase)
 
 
 def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliString]]:

@@ -8,7 +8,7 @@ where the dimension is 3 but the rank is 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import oracle
 from .configurations import Analysis, analyze, require_core_input
@@ -18,14 +18,12 @@ from .oracle import DEFAULT_ORACLE_CAP
 from .pauli import g2_rank, low_weight_elements
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    n: int
-    dimension: int
-    g2: int
-    oracle_nullity: int | None
-    holds: bool
-    oracle_agrees: bool | None
+class EquivalenceReport(
+    namedtuple("EquivalenceReport", "n dimension g2 oracle_nullity holds oracle_agrees")
+):
+    """Each route's value on one graph; the oracle fields are None unless it ran."""
+
+    __slots__ = ()
 
 
 def check_equivalence(

@@ -27,7 +27,6 @@ from stabdim.oracle import (
 )
 from stabdim.pauli import (
     PauliString,
-    element,
     g2_rank,
     graph_generators,
     low_weight_elements,
@@ -307,10 +306,19 @@ def reference_brute_exponents(g: Graph) -> list[int]:
     return hits
 
 
+def reference_element(gens: list[PauliString], exponents: int) -> PauliString:
+    """Product of ``gens[i]`` over the set bits of ``exponents`` as a chain of
+    ``multiply`` calls from the identity, one PauliString per factor."""
+    out = PauliString.identity(gens[0].n if gens else 0)
+    for i in bit_indices(exponents):
+        out = multiply(out, gens[i])
+    return out
+
+
 def reference_brute_elements(g: Graph) -> list[tuple[int, PauliString]]:
     """(exponent vector, element) pairs of ``reference_brute_exponents``."""
     gens = graph_generators(g)
-    return [(e, element(gens, e)) for e in reference_brute_exponents(g)]
+    return [(e, reference_element(gens, e)) for e in reference_brute_exponents(g)]
 
 
 def corresponding_stabilizer_element(c: Configuration, n: int) -> PauliString:

@@ -1,10 +1,25 @@
-"""The top-level package: what it exports, and README's Library example."""
+"""The top-level package: what it exports, its records, what importing the CLI
+loads, and README's Library example."""
 
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import stabdim
+from stabdim import (
+    Graph,
+    PauliString,
+    check_equivalence,
+    detect_configurations,
+    generate,
+    low_weight_elements,
+    nullspace_basis,
+)
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 EXPORTED = [
     "CLOSED_TWIN",
@@ -51,3 +66,73 @@ def test_readme_library_example():
     assert "assert (stabilizer_dimension(g)) == 6" in source
     assert "assert ((rep.dimension, rep.g2, rep.oracle_nullity)) == (6, 6, 6)" in source
     exec(source, {})
+
+
+def _records():
+    g = generate("star", 4)
+    return [
+        g,
+        low_weight_elements(g)[0][1],
+        detect_configurations(g)[0],
+        nullspace_basis(g)[0],
+        check_equivalence(g, with_oracle=True),
+    ]
+
+
+def test_every_exported_record_is_covered():
+    exported = {name for name in stabdim.__all__ if isinstance(getattr(stabdim, name), type)}
+    exported -= {"ConsistencyError", "ConstraintError", "GraphParseError"}
+    assert {type(r).__name__ for r in _records()} == exported
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable_named_tuples(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert tuple(record) == tuple(getattr(record, f) for f in record._fields)
+    assert type(record)(*record) == record
+    assert record._replace(**{field: getattr(record, field)}) == record
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Graph(0, ()), "graph needs at least one vertex, got n=0"),
+        (lambda: Graph(2, (0b10,)), "expected 2 adjacency rows, got 1"),
+        (lambda: Graph(2, (0b110, 0b01)), "adjacency row 0 has bits beyond vertex 1"),
+        (lambda: Graph(2, (0b01, 0b00)), "self-loop at vertex 0"),
+        (lambda: Graph(2, (0b10, 0b00)), r"adjacency not symmetric at \(0, 1\)"),
+        (lambda: Graph._from_symmetric_rows(0, []), "graph needs at least one vertex, got n=0"),
+        (lambda: generate("path", 3)._replace(adj=(0b10, 0b101, 0b000)),
+         r"adjacency not symmetric at \(1, 2\)"),
+        (lambda: PauliString(2, 0b100, 0), "x/z bits beyond qubit 1"),
+        (lambda: PauliString(2, 0, 0b100), "x/z bits beyond qubit 1"),
+        (lambda: PauliString.identity(1)._replace(z=0b10), "x/z bits beyond qubit 0"),
+    ],
+)
+def test_invalid_graph_and_pauli_input_raises(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_pauli_phase_is_reduced_mod_4():
+    assert PauliString(1, 1, 1, 7).phase_exp == 3
+    assert PauliString(1, 1, 1, -1).phase_exp == 3
+    assert PauliString(1, 1, 1)._replace(phase_exp=6).phase_exp == 2
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # Every CLI job pays its imports: fractions is for nullspace_basis only,
+    # json for --format machine only, and the records need no dataclasses.
+    heavy = ["dataclasses", "inspect", "fractions", "decimal", "json"]
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import stabdim.cli; "
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

@@ -1,6 +1,5 @@
 """CLI surface: sources, reports, exit codes, determinism."""
 
-import dataclasses
 import json
 
 import pytest
@@ -184,7 +183,7 @@ class TestVerify:
     @pytest.mark.parametrize("command,nullity", [("analyze", "not-run"), ("verify", "4")])
     def test_route_mismatch_names_the_input(self, capsys, monkeypatch, command, nullity):
         real = cli.analyze
-        monkeypatch.setattr(cli, "analyze", lambda g: dataclasses.replace(real(g), dimension=99))
+        monkeypatch.setattr(cli, "analyze", lambda g: real(g)._replace(dimension=99))
         code, out, err = run_capture(capsys, [command, "--graph6", "Ds_"])
         assert (code, out) == (4, "")
         assert err == (

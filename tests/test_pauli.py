@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs_strategy, graphs_strategy, is_stabilized
+from helpers import (
+    all_labeled_graphs,
+    connected_graphs_strategy,
+    graphs_strategy,
+    is_stabilized,
+    reference_element,
+)
 from stabdim import pauli
 from stabdim.errors import ConsistencyError, ConstraintError
 from stabdim.graphs import Graph, bit_indices, generate
@@ -124,6 +130,23 @@ class TestElement:
     def test_star3_leaf_product(self):
         gens = graph_generators(generate("star", 3))
         assert str(element(gens, 0b110)) == "+IXX"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_multiply_chain_on_every_labeled_graph(self, n):
+        for g in all_labeled_graphs(n):
+            gens = graph_generators(g)
+            for e in range(1 << n):
+                assert element(gens, e) == reference_element(gens, e)
+
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.lists(pauli_strategy(n), min_size=1, max_size=6)),
+        st.integers(0, (1 << 6) - 1),
+    )
+    def test_equals_multiply_chain_on_random_factors(self, gens, e):
+        # Arbitrary factors, not only graph generators: odd phases, Y letters
+        # and Z parts that meet later X parts all enter the phase.
+        e &= (1 << len(gens)) - 1
+        assert element(gens, e) == reference_element(gens, e)
 
     @pytest.mark.parametrize(
         "family,n,seed",

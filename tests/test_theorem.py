@@ -1,7 +1,5 @@
 """Cross-route equivalence reports and the two support-structure properties."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 
@@ -44,7 +42,7 @@ class TestCheckEquivalence:
     @staticmethod
     def _break_dimension(monkeypatch):
         real = theorem.analyze
-        monkeypatch.setattr(theorem, "analyze", lambda g: replace(real(g), dimension=99))
+        monkeypatch.setattr(theorem, "analyze", lambda g: real(g)._replace(dimension=99))
 
     def test_mismatch_raises_for_n_at_least_3(self, monkeypatch):
         self._break_dimension(monkeypatch)
