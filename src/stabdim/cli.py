@@ -32,11 +32,11 @@ from .graphs import (
 from .pauli import low_weight_elements
 from .theorem import check_equivalence, graph6_detail, reproduction
 
-# Hard ceilings on the user-raisable caps. The oracle costs 2**n time and memory;
-# brute enumeration O(n**2) row XORs, so its cap and ceiling are contract, not cost.
+# The oracle costs 2**n time and memory, so --oracle-max-n has a hard ceiling,
+# checked before the input is read. Brute enumeration costs O(n**2) row XORs;
+# its fixed cap, checked once the input is loaded, is contract, not cost.
 ORACLE_CEILING = 20
-DEFAULT_BRUTE_CAP = 24
-BRUTE_CEILING = 28
+BRUTE_MAX_N = 28
 
 
 class UsageError(Exception):
@@ -182,12 +182,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.enumerate_max_n > BRUTE_CEILING:
-        raise ConstraintError(f"--enumerate-max-n has a hard ceiling of {BRUTE_CEILING}")
     g, _ = _load_graph(args)
     modes = ("brute", "fast") if args.mode == "both" else (args.mode,)
-    if "brute" in modes and g.n > args.enumerate_max_n:
-        raise ConstraintError(f"enumeration cap is n={args.enumerate_max_n}, got n={g.n}")
+    if "brute" in modes and g.n > BRUTE_MAX_N:
+        raise ConstraintError(f"enumeration cap is n={BRUTE_MAX_N}, got n={g.n}")
     results = {mode: low_weight_elements(g, mode=mode) for mode in modes}
     if len(results) == 2 and results["brute"] != results["fast"]:
         detail = f"brute={len(results['brute'])} fast={len(results['fast'])}{graph6_detail(g)}"
@@ -288,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate", help="list weight-<=2 stabilizer elements")
     _add_source_options(enum)
     enum.add_argument("--mode", choices=("brute", "fast", "both"), default="both")
-    enum.add_argument("--enumerate-max-n", type=int, default=DEFAULT_BRUTE_CAP)
     enum.set_defaults(func=_cmd_enumerate)
 
     gen = sub.add_parser("gen", help="emit a family or seeded random graph")

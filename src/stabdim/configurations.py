@@ -13,7 +13,6 @@ from collections import namedtuple
 
 from .errors import ConstraintError
 from .graphs import Graph, is_connected, twin_classes
-from .pauli import g2_rank
 
 TWIN = "twin"
 LEAF = "leaf"
@@ -38,8 +37,9 @@ class SlotPair(namedtuple("SlotPair", "p q")):
 class Analysis(namedtuple("Analysis", "n connected configurations dimension g2")):
     """The fast path's result: one connectivity pass, one twin-class pass.
 
-    ``dimension`` and ``g2`` come from the same twin classes, so their
-    agreement is no independent check (brute enumeration and the oracle are).
+    ``dimension``, ``g2`` and ``pauli``'s fast element list all come from the
+    same twin classes, so their agreement is no independent check (brute
+    enumeration and the oracle are).
     A disconnected graph gets component sums, each isolated vertex adding 1;
     only the oracle backs that extension, as the theory covers connected graphs.
     ``configurations`` is a list of ``Configuration``.
@@ -55,7 +55,7 @@ def analyze(g: Graph) -> Analysis:
     pairs = {}
     # A class of k vertices spans the same slots, and the same exponent vectors,
     # as a chain of k - 1 of its pairs, so neither the union-find nor the g2
-    # rank needs the Theta(k^2) pair list. A leaf a stands for generator g_a.
+    # rank needs the Theta(k^2) pair list.
     chains = list(leaf_configs)
     for kind, classes in ((TWIN, open_classes), (CLOSED_TWIN, closed_classes)):
         found = sorted((a, b) for c in classes for i, a in enumerate(c) for b in c[i + 1:])
@@ -67,7 +67,7 @@ def analyze(g: Graph) -> Analysis:
         connected=is_connected(g),
         configurations=pairs[TWIN] + leaf_configs + pairs[CLOSED_TWIN],
         dimension=isolated + slot_span_rank(lie_generator(c) for c in chains),
-        g2=isolated + g2_rank(1 << c.a | (0 if c.kind == LEAF else 1 << c.b) for c in chains),
+        g2=isolated + g2_rank(exponent_vector(c) for c in chains),
     )
 
 
@@ -96,31 +96,45 @@ def lie_generator(c: Configuration) -> SlotPair:
     raise ValueError(f"unknown configuration kind {c.kind!r}")
 
 
-class _DisjointSet:
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, k):
-        self.parent.setdefault(k, k)
-        root = k
-        while root != self.parent[root]:
-            root = self.parent[root]
-        while k != root:
-            self.parent[k], k = root, self.parent[k]
-        return root
-
-    def union(self, a, b) -> None:
-        self.parent[self.find(a)] = self.find(b)
+def exponent_vector(c: Configuration) -> int:
+    """The weight-<=2 stabilizer element a configuration gives, as an exponent
+    vector: generator g_a for a leaf a, the product g_a g_b for a twin pair."""
+    return 1 << c.a if c.kind == LEAF else 1 << c.a | 1 << c.b
 
 
 def slot_span_rank(pairs) -> int:
-    """Rank over the rationals of a set of O_p - O_q difference generators."""
-    ds = _DisjointSet()
+    """Rank over the rationals of a set of O_p - O_q difference generators:
+    slots touched minus components of the slot graph, which is the number of
+    pairs that join two components."""
+    parent: dict = {}
+
+    def find(k):
+        while parent.setdefault(k, k) != k:
+            parent[k] = k = parent[parent[k]]  # path halving
+        return k
+
+    rank = 0
     for pair in pairs:
-        ds.union(pair.p, pair.q)
-    slots = list(ds.parent)
-    roots = {ds.find(s) for s in slots}
-    return len(slots) - len(roots)
+        root_p, root_q = find(pair.p), find(pair.q)
+        if root_p != root_q:
+            parent[root_p] = root_q
+            rank += 1
+    return rank
+
+
+def g2_rank(rows) -> int:
+    """Rank over GF(2) of int bit-vectors: g2 on the weight-<=2 exponent vectors."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        cur = row
+        while cur:
+            b = cur.bit_length() - 1
+            piv = pivots.get(b)
+            if piv is None:
+                pivots[b] = cur
+                break
+            cur ^= piv
+    return len(pivots)
 
 
 def stabilizer_dimension(g: Graph) -> int:

@@ -59,6 +59,7 @@ class Graph(namedtuple("Graph", "n adj")):
     __slots__ = ()
 
     def __new__(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        adj = tuple(adj)
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         if len(adj) != n:

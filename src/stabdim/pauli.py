@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+# g2_rank lives next to slot_span_rank; stabdim.g2_rank and theorem import it from here.
+from .configurations import analyze, exponent_vector, g2_rank
 from .errors import ConsistencyError, ConstraintError
-from .graphs import Graph, bit_indices, is_connected, twin_classes
+from .graphs import Graph, bit_indices, is_connected
 
 _SIGNS = ("+", "+i", "-", "-i")
 _AXIS_BITS = {"X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
@@ -111,23 +113,21 @@ def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliS
     product of generators is its exponent vector, so it tests the n singles
     and n(n-1)/2 pairs of generators, O(n**2) row XORs, and nothing that
     groups vertices into classes. ``fast`` needs a connected graph on >= 2
-    vertices and reads the elements off degree-1 vertices and twin classes
-    found in one pass, O(n + m + output). The modes differ only in how they
-    pick the exponent vectors and return identical lists; on a connected
-    graph a weight-< 2 element raises ConsistencyError. Neither mode limits
-    n: the CLI's ``--enumerate-max-n`` is the only bound on the brute route.
+    vertices and maps each configuration of ``analyze(g)`` to its exponent
+    vector, O(n + m + output). The modes differ only in how they pick the
+    exponent vectors and return identical lists, so comparing them checks the
+    configuration detector; on a connected graph a weight-< 2 element raises
+    ConsistencyError. Neither mode limits n.
     """
-    connected = g.n >= 2 and is_connected(g)
     if mode == "brute":
+        connected = g.n >= 2 and is_connected(g)
         exponents = _brute_exponents(g.adj)
     elif mode == "fast":
+        a = analyze(g)
+        connected = a.n >= 2 and a.connected
         if not connected:
             raise ConstraintError("fast enumeration needs a connected graph on >= 2 vertices")
-        leaves, open_classes, closed_classes = twin_classes(g)
-        exponents = [1 << a for a in leaves]
-        for c in open_classes + closed_classes:
-            for i, a in enumerate(c):
-                exponents += [1 << a | 1 << b for b in c[i + 1:]]
+        exponents = [exponent_vector(c) for c in a.configurations]
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'brute' or 'fast'")
     gens = graph_generators(g)
@@ -155,18 +155,3 @@ def _brute_exponents(adj: tuple[int, ...]) -> list[int]:
             if not diff or diff == 1 << i | bit_j:
                 hits.append(1 << i | bit_j)
     return hits
-
-
-def g2_rank(rows) -> int:
-    """Rank over GF(2) of int bit-vectors: g2 on the weight-<=2 exponent vectors."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        cur = row
-        while cur:
-            b = cur.bit_length() - 1
-            piv = pivots.get(b)
-            if piv is None:
-                pivots[b] = cur
-                break
-            cur ^= piv
-    return len(pivots)

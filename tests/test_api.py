@@ -1,6 +1,7 @@
 """The top-level package: what it exports, its records, what importing the CLI
-loads, and README's Library example."""
+loads, how its modules import each other, and README's Library example."""
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -118,6 +119,13 @@ def test_invalid_graph_and_pauli_input_raises(build, message):
         build()
 
 
+def test_graph_from_a_list_stores_a_tuple():
+    g = Graph(2, [0b10, 0b01])
+    assert type(g.adj) is tuple
+    assert g == Graph(2, (0b10, 0b01))
+    assert hash(g) == hash(Graph(2, (0b10, 0b01)))
+
+
 def test_pauli_phase_is_reduced_mod_4():
     assert PauliString(1, 1, 1, 7).phase_exp == 3
     assert PauliString(1, 1, 1, -1).phase_exp == 3
@@ -136,3 +144,40 @@ def test_importing_the_cli_loads_no_heavy_module():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Each ``stabdim`` module and the package modules its relative imports name."""
+    imports = {}
+    for path in sorted((ROOT / "src" / "stabdim").glob("*.py")):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # ``from . import oracle`` names the module in its aliases.
+                found |= {node.module} if node.module else {a.name for a in node.names}
+        imports[path.stem] = found
+    return imports
+
+
+def test_package_imports_form_no_cycle():
+    imports = _package_imports()
+    done, on_path = set(), []
+
+    def visit(module):
+        assert module not in on_path, f"import cycle: {' -> '.join(on_path + [module])}"
+        if module in done:
+            return
+        on_path.append(module)
+        for target in imports.get(module, ()):
+            visit(target)
+        on_path.pop()
+        done.add(module)
+
+    for module in imports:
+        visit(module)
+
+
+def test_configurations_import_no_later_route():
+    # Every fast-path product is read off configurations.analyze, so the
+    # detector must not lean on the modules that consume it.
+    assert _package_imports()["configurations"].isdisjoint({"pauli", "oracle", "theorem", "cli"})

@@ -237,17 +237,31 @@ class TestEnumerate:
         )
         assert code == 3
 
-    def test_enumerate_max_n_is_the_only_brute_cap(self, capsys):
-        code, out, err = run_capture(capsys, ["enumerate", "--family", "path", "--n", "25"])
-        assert (code, out, err) == (
-            3, "", "constraint violation: enumeration cap is n=24, got n=25\n"
-        )
-        code, out, _ = run_capture(capsys, ["enumerate", "--family", "path", "--n", "24"])
-        assert (code, len(out.splitlines())) == (0, 2)
+    def test_brute_cap_is_n_28(self, capsys):
+        path28 = ["enumerate", "--family", "path", "--n", "28"]
+        both = run_capture(capsys, path28 + ["--mode", "both"])
+        assert both == run_capture(capsys, path28 + ["--mode", "fast"])
+        assert (both[0], len(both[1].splitlines())) == (0, 2)
         code, out, _ = run_capture(
-            capsys, ["enumerate", "--family", "path", "--n", "28", "--enumerate-max-n", "28"]
+            capsys, ["enumerate", "--family", "path", "--n", "29", "--mode", "fast"]
         )
         assert (code, len(out.splitlines())) == (0, 2)
+
+    @pytest.mark.parametrize("mode", ["brute", "both"])
+    def test_brute_refused_above_28(self, capsys, mode):
+        code, out, err = run_capture(
+            capsys, ["enumerate", "--family", "path", "--n", "29", "--mode", mode]
+        )
+        assert (code, out, err) == (
+            3, "", "constraint violation: enumeration cap is n=28, got n=29\n"
+        )
+
+    def test_enumerate_max_n_is_gone(self, capsys):
+        code, out, err = run_capture(
+            capsys, ["enumerate", "--graph6", "A_", "--enumerate-max-n", "24"]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
     def test_fast_mode_allows_large(self, capsys):
         code, out, _ = run_capture(
@@ -323,9 +337,6 @@ class TestCeilings:
         [
             ["verify", "--graph6", "A_", "--oracle-max-n", "21"],
             ["verify", "--family", "path", "--n", "40", "--oracle-max-n", "40"],
-            ["enumerate", "--graph6", "A_", "--enumerate-max-n", "29"],
-            ["enumerate", "--family", "path", "--n", "40", "--mode", "brute",
-             "--enumerate-max-n", "40"],
         ],
     )
     def test_refused_before_any_graph_work(self, capsys, monkeypatch, argv):
@@ -342,10 +353,6 @@ class TestCeilings:
             capsys, ["verify", "--graph6", "A_", "--oracle-max-n", str(cli.ORACLE_CEILING)]
         )
         assert code == 0 and "oracle_agrees: yes" in out
-        code, out, _ = run_capture(
-            capsys, ["enumerate", "--graph6", "A_", "--enumerate-max-n", str(cli.BRUTE_CEILING)]
-        )
-        assert code == 0 and len(out.splitlines()) == 3
 
 
 class TestFamilyCeiling:

@@ -189,7 +189,7 @@ class TestLowWeight:
         ]
 
     def test_brute_has_no_library_cap(self):
-        # The CLI's --enumerate-max-n is the only bound on the brute route.
+        # The library puts no bound on n; the CLI's fixed n <= 28 brute cap is contract.
         g = generate("path", 30)
         assert low_weight_elements(g, "brute") == low_weight_elements(g, "fast")
 
