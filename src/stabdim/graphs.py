@@ -37,6 +37,9 @@ FAMILIES = ("path", "cycle", "star", "complete", "tree", "gnp")
 
 _MASK64 = (1 << 64) - 1
 
+# Largest vertex count of graph6's one-byte size form, the only one supported.
+GRAPH6_MAX_N = 62
+
 # Largest vertex count of an edge list or a generated family: bit-row adjacency
 # takes up to n**2 / 8 bytes, 512 MiB here, and both are refused before any
 # row or edge is built.
@@ -223,8 +226,8 @@ def parse_graph6(text: str) -> Graph:
 
 def check_graph6_size(n: int) -> None:
     """Refuse (ConstraintError) an n beyond graph6's one-byte size form."""
-    if n > 62:
-        raise ConstraintError(f"graph6 one-byte size form caps at n=62, got n={n}")
+    if n > GRAPH6_MAX_N:
+        raise ConstraintError(f"graph6 one-byte size form caps at n={GRAPH6_MAX_N}, got n={n}")
 
 
 def encode_graph6(g: Graph) -> str:

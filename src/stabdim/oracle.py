@@ -21,7 +21,10 @@ fraction-free Bareiss elimination on integers; rank(A^T A) = rank(A) holds
 exactly over the rationals.
 
 ``build_statevector`` and ``apply_pauli`` are an amplitude-level reference
-for tests; the nullity route does not use them.
+for tests; the nullity route does not use them. The module imports only
+``graphs`` and ``errors``, so it shares no code with the configuration and
+Pauli routes it checks; ``PauliString`` in ``apply_pauli``'s signature is an
+annotation only.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from collections import namedtuple
 
 from .errors import ConstraintError
 from .graphs import Graph
-from .pauli import PauliString
 
 DEFAULT_ORACLE_CAP = 14
 

@@ -69,40 +69,20 @@ class PauliString(namedtuple("PauliString", "n x z phase_exp")):
     def __str__(self) -> str:
         return self.sign() + self.letters()
 
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
 
+def element(g: Graph, exponents: int) -> PauliString:
+    """Product of the graph generators g_i = X_i Z_N(i) over the set bits of
+    ``exponents``, read off ``g.adj`` and built once.
 
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Exact operator product p*q.
-
-    x and z add mod 2; the phase picks up (-1) for every qubit where a Z of
-    ``p`` is reordered past an X of ``q``.
+    The X part is ``exponents`` itself and the Z part is the XOR of the rows
+    of its bits. Taking the factors in ascending order, the phase gains 2
+    (a factor -1) for each factor i whose X_i meets a Z_i accumulated so far.
     """
-    if p.n != q.n:
-        raise ValueError(f"length mismatch: {p.n} vs {q.n}")
-    phase = (p.phase_exp + q.phase_exp + 2 * (p.z & q.x).bit_count()) % 4
-    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, phase)
-
-
-def graph_generators(g: Graph) -> list[PauliString]:
-    """Stabilizer generators of the graph state: X on i, Z on every neighbor."""
-    return [PauliString(g.n, 1 << i, g.adj[i], 0) for i in range(g.n)]
-
-
-def element(gens: list[PauliString], exponents: int) -> PauliString:
-    """Product of ``gens[i]`` over the set bits of ``exponents``, built once.
-
-    The x and z parts add mod 2; the phase gathers what ``multiply`` would add
-    at each step, (-1) per Z accumulated so far reordered past the next X.
-    """
-    x = z = phase = 0
+    z = phase = 0
     for i in bit_indices(exponents):
-        q = gens[i]
-        phase += q.phase_exp + 2 * (z & q.x).bit_count()
-        x ^= q.x
-        z ^= q.z
-    return PauliString(gens[0].n if gens else 0, x, z, phase)
+        phase += 2 * (z >> i & 1)
+        z ^= g.adj[i]
+    return PauliString(g.n, exponents, z, phase)
 
 
 def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliString]]:
@@ -116,8 +96,9 @@ def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliS
     vertices and maps each configuration of ``analyze(g)`` to its exponent
     vector, O(n + m + output). The modes differ only in how they pick the
     exponent vectors and return identical lists, so comparing them checks the
-    configuration detector; on a connected graph a weight-< 2 element raises
-    ConsistencyError. Neither mode limits n.
+    configuration detector. Both build each element with ``element(g, e)``
+    from the adjacency rows alone; on a connected graph a weight-< 2 element
+    raises ConsistencyError. Neither mode limits n.
     """
     if mode == "brute":
         connected = g.n >= 2 and is_connected(g)
@@ -130,8 +111,7 @@ def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliS
         exponents = [exponent_vector(c) for c in a.configurations]
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'brute' or 'fast'")
-    gens = graph_generators(g)
-    out = [(e, element(gens, e)) for e in sorted(exponents)]
+    out = [(e, element(g, e)) for e in sorted(exponents)]
     if connected:
         for _, p in out:
             if p.weight() < 2:

@@ -13,7 +13,7 @@ from collections import namedtuple
 from . import oracle
 from .configurations import Analysis, analyze, require_core_input
 from .errors import ConsistencyError
-from .graphs import Graph, encode_graph6
+from .graphs import GRAPH6_MAX_N, Graph, encode_graph6
 from .oracle import DEFAULT_ORACLE_CAP
 from .pauli import g2_rank, low_weight_elements
 
@@ -36,10 +36,10 @@ def check_equivalence(
     """Compute dimension and g2 (and optionally the oracle nullity) on one graph.
 
     A dimension/g2 mismatch on n >= 3 raises ConsistencyError: that would
-    falsify the implementation, not the input. Its message ends with
-    ``reproduction``'s detail; the oracle, when asked for, runs first so
-    the detail carries its nullity too. The n = 2 mismatch (3 vs 2) is
-    expected and only reported.
+    falsify the implementation, not the input. At n = 2 only the boundary gap
+    (dimension 3, g2 2) is expected and reported; any other pair raises too.
+    The message ends with ``reproduction``'s detail; the oracle, when asked
+    for, runs first so the detail carries its nullity too.
 
     In fast mode ``dimension`` and ``g2`` come from one detection pass
     (``analysis``, computed unless given), so that gate is not independent;
@@ -52,7 +52,8 @@ def check_equivalence(
     dimension = analysis.dimension
     nullity = oracle.local_algebra_nullity(g, cap=oracle_cap) if with_oracle else None
     holds = dimension == g2
-    if g.n >= 3 and not holds:
+    # The one connected 2-vertex graph is the boundary: dimension 3, g2 2.
+    if dimension - g2 != (g.n == 2):
         raise ConsistencyError(
             f"dimension {dimension} != g2 {g2} on a connected graph with n={g.n} "
             f"({reproduction(g, dimension, g2, nullity)})"
@@ -69,4 +70,4 @@ def reproduction(g: Graph, dimension: int, g2: int, nullity: int | None) -> str:
 
 def graph6_detail(g: Graph) -> str:
     """`` graph6=<g>`` when g fits graph6's one-byte size form (n <= 62), else empty."""
-    return f" graph6={encode_graph6(g)}" if g.n <= 62 else ""
+    return f" graph6={encode_graph6(g)}" if g.n <= GRAPH6_MAX_N else ""

@@ -1,7 +1,9 @@
 """The top-level package: what it exports, its records, what importing the CLI
-loads, how its modules import each other, and README's Library example."""
+loads, how its modules import each other, the names the traced bench wraps,
+and README's Library example."""
 
 import ast
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -181,3 +183,30 @@ def test_configurations_import_no_later_route():
     # Every fast-path product is read off configurations.analyze, so the
     # detector must not lean on the modules that consume it.
     assert _package_imports()["configurations"].isdisjoint({"pauli", "oracle", "theorem", "cli"})
+
+
+def test_oracle_imports_only_graphs_and_errors():
+    # The exact oracle checks the other two routes, so it shares no code with them.
+    assert _package_imports()["oracle"] <= {"graphs", "errors"}
+
+
+def _traced_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of each entry of the traced bench's ``TARGETS``, read with ast."""
+    tree = ast.parse((ROOT / "perfbench" / "trace_run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "TARGETS" for t in node.targets
+        ):
+            return [(entry.elts[1].value, entry.elts[2].value) for entry in node.value.elts]
+    raise AssertionError("perfbench/trace_run.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("module,attribute", _traced_targets())
+def test_traced_names_exist(module, attribute):
+    # The bench's tracer looks each one up in the __dict__ of its module, or
+    # of the class for a dotted attribute, and skips what it cannot find.
+    owner = importlib.import_module(f"stabdim.{module}")
+    *path, leaf = attribute.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert callable(vars(owner).get(leaf)), f"stabdim.{module}.{attribute}"

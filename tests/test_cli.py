@@ -180,15 +180,26 @@ class TestVerify:
             "(dimension=4 g2=4 oracle_nullity=99 graph6=Ds_)\n"
         )
 
-    @pytest.mark.parametrize("command,nullity", [("analyze", "not-run"), ("verify", "4")])
-    def test_route_mismatch_names_the_input(self, capsys, monkeypatch, command, nullity):
+    @pytest.mark.parametrize(
+        "command,graph6,n,g2,nullity",
+        [
+            ("analyze", "Ds_", 5, 4, "not-run"),
+            ("verify", "Ds_", 5, 4, "4"),
+            # At n = 2 only the boundary gap (dimension 3, g2 2) passes the gate.
+            ("analyze", "A_", 2, 2, "not-run"),
+        ],
+        ids=["analyze-not-run", "verify-4", "analyze-n2"],
+    )
+    def test_route_mismatch_names_the_input(
+        self, capsys, monkeypatch, command, graph6, n, g2, nullity
+    ):
         real = cli.analyze
         monkeypatch.setattr(cli, "analyze", lambda g: real(g)._replace(dimension=99))
-        code, out, err = run_capture(capsys, [command, "--graph6", "Ds_"])
+        code, out, err = run_capture(capsys, [command, "--graph6", graph6])
         assert (code, out) == (4, "")
         assert err == (
-            "internal consistency failure: dimension 99 != g2 4 on a connected graph with n=5 "
-            f"(dimension=99 g2=4 oracle_nullity={nullity} graph6=Ds_)\n"
+            f"internal consistency failure: dimension 99 != g2 {g2} on a connected graph with n={n} "
+            f"(dimension=99 g2={g2} oracle_nullity={nullity} graph6={graph6})\n"
         )
 
     def test_components_disagreement_exits_4(self, capsys, monkeypatch):

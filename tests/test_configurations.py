@@ -8,6 +8,7 @@ from helpers import (
     coefficient_vector_row,
     connected_graphs_strategy,
     corresponding_stabilizer_element,
+    graph_generators,
     is_stabilized,
     rational_rank,
     slot_coefficient_vector,
@@ -28,7 +29,7 @@ from stabdim.configurations import (
 from stabdim.errors import ConstraintError
 from stabdim.graphs import Graph, generate
 from stabdim.oracle import build_statevector, local_algebra_nullity
-from stabdim.pauli import element, graph_generators
+from stabdim.pauli import element
 
 
 class TestDetect:
@@ -123,8 +124,7 @@ class TestCorrespondingElement:
     def test_k2_closed_twin(self):
         got = corresponding_stabilizer_element(Configuration(CLOSED_TWIN, 0, 1), 2)
         assert str(got) == "+YY"
-        gens = graph_generators(generate("complete", 2))
-        assert got == element(gens, 0b11)
+        assert got == element(generate("complete", 2), 0b11)
 
     def test_star_leaf_is_generator(self):
         star = generate("star", 4)
@@ -136,12 +136,11 @@ class TestCorrespondingElement:
         star = generate("star", 4)
         got = corresponding_stabilizer_element(Configuration(TWIN, 1, 2), 4)
         assert str(got) == "+IXXI"
-        assert got == element(graph_generators(star), 0b0110)
+        assert got == element(star, 0b0110)
 
     @given(connected_graphs_strategy(min_n=2, max_n=7))
     @settings(max_examples=40)
     def test_equals_element_and_stabilizes(self, g):
-        gens = graph_generators(g)
         v = build_statevector(g)
         for c in detect_configurations(g):
             p = corresponding_stabilizer_element(c, g.n)
@@ -149,7 +148,7 @@ class TestCorrespondingElement:
                 e = 1 << c.a
             else:
                 e = (1 << c.a) | (1 << c.b)
-            assert p == element(gens, e)
+            assert p == element(g, e)
             assert str(p).startswith("+")
             assert is_stabilized(p, v)
 

@@ -11,6 +11,7 @@ from helpers import (
     annihilates,
     coefficient_vector_row,
     connected_graphs_strategy,
+    graph_generators,
     graphs_strategy,
     is_stabilized,
     is_stabilized_by_masks,
@@ -34,7 +35,7 @@ from stabdim.oracle import (
     matrix_rank,
     nullspace_basis,
 )
-from stabdim.pauli import PauliString, element, graph_generators
+from stabdim.pauli import PauliString, element
 
 
 def direct_stacked_nullity(g):
@@ -237,11 +238,10 @@ def stabilization_probes(g):
     """Every product of at most two generators with each of the four phases,
     plus every single-qubit X, Y and Z: stabilizers, sign-flipped and
     imaginary multiples of them, and mostly non-stabilizers."""
-    gens = graph_generators(g)
     probes = []
     for e in range(1 << g.n):
         if e.bit_count() <= 2:
-            p = element(gens, e)
+            p = element(g, e)
             probes += [PauliString(g.n, p.x, p.z, p.phase_exp + k) for k in range(4)]
     probes += [PauliString.single(g.n, a, axis) for a in range(g.n) for axis in "XYZ"]
     return probes
@@ -266,7 +266,7 @@ class TestSignMaskStabilization:
         full = st.integers(0, (1 << g.n) - 1)
         p = data.draw(st.builds(PauliString, st.just(g.n), full, full, st.integers(0, 3)))
         v, state = build_statevector(g), sign_mask_state(g)
-        q = element(graph_generators(g), p.x)
+        q = element(g, p.x)
         for probe in (p, PauliString(g.n, q.x, q.z, p.phase_exp)):
             assert is_stabilized_by_masks(probe, state) == is_stabilized(probe, v)
 

@@ -7,22 +7,17 @@ from hypothesis import strategies as st
 from helpers import (
     all_labeled_graphs,
     connected_graphs_strategy,
+    graph_generators,
     graphs_strategy,
     is_stabilized,
+    multiply,
     reference_element,
 )
 from stabdim import pauli
 from stabdim.errors import ConsistencyError, ConstraintError
 from stabdim.graphs import Graph, bit_indices, generate
 from stabdim.oracle import apply_pauli, build_statevector
-from stabdim.pauli import (
-    PauliString,
-    element,
-    g2_rank,
-    graph_generators,
-    low_weight_elements,
-    multiply,
-)
+from stabdim.pauli import PauliString, element, g2_rank, low_weight_elements
 
 
 def pauli_strategy(n: int):
@@ -120,33 +115,25 @@ class TestGenerators:
 
 class TestElement:
     def test_zero_exponents_gives_identity(self):
-        gens = graph_generators(generate("star", 3))
-        assert element(gens, 0) == PauliString.identity(3)
+        assert element(generate("star", 3), 0) == PauliString.identity(3)
 
     def test_k2_full_product(self):
-        gens = graph_generators(generate("complete", 2))
-        assert str(element(gens, 0b11)) == "+YY"
+        assert str(element(generate("complete", 2), 0b11)) == "+YY"
 
     def test_star3_leaf_product(self):
-        gens = graph_generators(generate("star", 3))
-        assert str(element(gens, 0b110)) == "+IXX"
+        assert str(element(generate("star", 3), 0b110)) == "+IXX"
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_multiply_chain_on_every_labeled_graph(self, n):
         for g in all_labeled_graphs(n):
             gens = graph_generators(g)
             for e in range(1 << n):
-                assert element(gens, e) == reference_element(gens, e)
+                assert element(g, e) == reference_element(gens, e)
 
-    @given(
-        st.integers(1, 6).flatmap(lambda n: st.lists(pauli_strategy(n), min_size=1, max_size=6)),
-        st.integers(0, (1 << 6) - 1),
-    )
-    def test_equals_multiply_chain_on_random_factors(self, gens, e):
-        # Arbitrary factors, not only graph generators: odd phases, Y letters
-        # and Z parts that meet later X parts all enter the phase.
-        e &= (1 << len(gens)) - 1
-        assert element(gens, e) == reference_element(gens, e)
+    @given(graphs_strategy(min_n=1, max_n=10), st.data())
+    def test_equals_multiply_chain_on_random_graphs(self, g, data):
+        e = data.draw(st.integers(0, (1 << g.n) - 1))
+        assert element(g, e) == reference_element(graph_generators(g), e)
 
     @pytest.mark.parametrize(
         "family,n,seed",
@@ -154,10 +141,9 @@ class TestElement:
     )
     def test_every_element_stabilizes_with_even_phase(self, family, n, seed):
         g = generate(family, n, p=0.4 if family == "gnp" else None, seed=seed)
-        gens = graph_generators(g)
         v = build_statevector(g)
         for e in range(1 << n):
-            s = element(gens, e)
+            s = element(g, e)
             assert s.phase_exp in (0, 2)
             assert is_stabilized(s, v)
 
@@ -196,7 +182,7 @@ class TestLowWeight:
     @pytest.mark.parametrize("mode", ["brute", "fast"])
     def test_weight_below_two_on_connected_graph_raises(self, monkeypatch, mode):
         # Both modes share the tail that builds the elements and checks them.
-        monkeypatch.setattr(pauli, "element", lambda gens, e: PauliString.single(3, 0, "X"))
+        monkeypatch.setattr(pauli, "element", lambda g, e: PauliString.single(3, 0, "X"))
         with pytest.raises(
             ConsistencyError, match=r"^weight-1 stabilizer element \+XII on a connected graph$"
         ):

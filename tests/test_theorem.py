@@ -49,10 +49,11 @@ class TestCheckEquivalence:
         with pytest.raises(ConsistencyError):
             check_equivalence(generate("star", 4))
 
-    def test_mismatch_at_n2_only_reported(self, monkeypatch):
+    def test_mismatch_at_n2_other_than_boundary_raises(self, monkeypatch):
+        # At n = 2 only the boundary gap (dimension 3, g2 2) is reported.
         self._break_dimension(monkeypatch)
-        rep = check_equivalence(generate("complete", 2))
-        assert rep.holds is False
+        with pytest.raises(ConsistencyError, match=r"^dimension 99 != g2 2 .* with n=2 "):
+            check_equivalence(generate("complete", 2))
 
 
 class TestReproduction:
