@@ -49,6 +49,15 @@ class TestCheckEquivalence:
         with pytest.raises(ConsistencyError):
             check_equivalence(generate("star", 4))
 
+    def test_mismatch_at_n2_only_reported(self):
+        # The boundary gap is reported, not raised, on every route: with the
+        # oracle run first and in either element mode.
+        for element_mode in ("brute", "fast"):
+            rep = check_equivalence(
+                generate("complete", 2), with_oracle=True, element_mode=element_mode
+            )
+            assert (rep.dimension, rep.g2, rep.holds) == (3, 2, False)
+
     def test_mismatch_at_n2_other_than_boundary_raises(self, monkeypatch):
         # At n = 2 only the boundary gap (dimension 3, g2 2) is reported.
         self._break_dimension(monkeypatch)
