@@ -16,7 +16,16 @@ import argparse
 import sys
 
 from . import oracle
-from .configurations import Analysis, analyze, detect_configurations, lie_generator
+from .configurations import (
+    CLOSED_TWIN,
+    LEAF,
+    TWIN,
+    Analysis,
+    Configuration,
+    analyze,
+    detect_configurations,
+    lie_generator,
+)
 from .errors import ConsistencyError, ConstraintError, GraphParseError
 from .graphs import (
     FAMILIES,
@@ -58,21 +67,21 @@ def format_report(
     holds = a.dimension == a.g2
     agrees = None if nullity is None else nullity == a.dimension
     if mode == "machine":
-        import json
-
-        record = {
-            "n": g.n,
-            "m": g.m,
-            "connected": a.connected,
-            "dimension": a.dimension,
-            "g2": a.g2,
-            "theorem_holds": holds,
-            "configurations": [{"kind": c.kind, "a": c.a, "b": c.b} for c in a.configurations],
-        }
+        # The bytes json.dumps(record, separators=(",", ":")) gives, spelled out
+        # with one format per field: every value is an int, a bool or a kind name.
+        true_false = {True: "true", False: "false"}
+        configurations = ",".join(
+            ['{"kind":"%s","a":%d,"b":%d}' % c for c in a.configurations]
+        )
+        line = (
+            '{"n":%d,"m":%d,"connected":%s,"dimension":%d,"g2":%d,"theorem_holds":%s,'
+            '"configurations":[%s]'
+            % (g.n, g.m, true_false[a.connected], a.dimension, a.g2, true_false[holds],
+               configurations)
+        )
         if nullity is not None:
-            record["oracle_nullity"] = nullity
-            record["oracle_agrees"] = agrees
-        return json.dumps(record, separators=(",", ":")) + "\n"
+            line += ',"oracle_nullity":%d,"oracle_agrees":%s' % (nullity, true_false[agrees])
+        return line + "}\n"
     if mode != "text":
         raise ValueError(f"unknown report mode {mode!r}")
 
@@ -82,9 +91,12 @@ def format_report(
         lines.append("mode: component-sum extension")
     if a.configurations:
         lines.append("configurations:")
-        lines += [
-            f"  {c.kind} a={c.a} b={c.b} generator {lie_generator(c)}" for c in a.configurations
-        ]
+        # One template per kind, its axes read off the generator of a sample.
+        templates = {}
+        for kind in (TWIN, LEAF, CLOSED_TWIN):
+            p, q = lie_generator(Configuration(kind, 0, 1))
+            templates[kind] = f"  {kind} a=%d b=%d generator {p[1]}(%d)-{q[1]}(%d)"
+        lines += [templates[kind] % (x, y, x, y) for kind, x, y in a.configurations]
     else:
         lines.append("configurations: none")
     lines.append(f"dimension: {a.dimension}")

@@ -10,6 +10,8 @@ slot graph), which union-find computes with no arithmetic at all.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
+from itertools import repeat
 
 from .errors import ConstraintError
 from .graphs import Graph, is_connected, twin_classes
@@ -49,7 +51,13 @@ class Analysis(namedtuple("Analysis", "n connected configurations dimension g2")
 
 
 def analyze(g: Graph) -> Analysis:
-    """Configurations, dimension and g2 of any graph in O(n + m + output)."""
+    """Configurations, dimension and g2 of any graph in O(n + m + output).
+
+    Twin and closed-twin pairs are listed sorted by (a, b). The classes are
+    disjoint and ascending, so each vertex heads at most one run of pairs,
+    ``a`` with every later member of its class: sorting those <= n heads,
+    not the pairs, costs O(n log n + output).
+    """
     leaves, open_classes, closed_classes = twin_classes(g)
     leaf_configs = [Configuration(LEAF, a, g.adj[a].bit_length() - 1) for a in leaves]
     pairs = {}
@@ -57,9 +65,14 @@ def analyze(g: Graph) -> Analysis:
     # as a chain of k - 1 of its pairs, so neither the union-find nor the g2
     # rank needs the Theta(k^2) pair list.
     chains = list(leaf_configs)
+    # tuple.__new__ builds each of the Theta(k^2) records in C, where a
+    # Configuration(...) call would run the generated Python __new__ per pair.
+    make = partial(tuple.__new__, Configuration)
     for kind, classes in ((TWIN, open_classes), (CLOSED_TWIN, closed_classes)):
-        found = sorted((a, b) for c in classes for i, a in enumerate(c) for b in c[i + 1:])
-        pairs[kind] = [Configuration(kind, a, b) for a, b in found]
+        heads = sorted((c[i], c[i + 1:]) for c in classes for i in range(len(c) - 1))
+        found = pairs[kind] = []
+        for a, tail in heads:
+            found += map(make, zip(repeat(kind), repeat(a), tail))
         chains += [Configuration(kind, a, b) for c in classes for a, b in zip(c, c[1:])]
     isolated = g.adj.count(0)
     return Analysis(

@@ -130,8 +130,70 @@ class Graph(namedtuple("Graph", "n adj")):
         return Graph(len(vertices), tuple(rows))
 
 
+# The layout ``encode_edge_list`` writes: the ``p`` line first, then only
+# ``e <u> <v>`` lines, single spaces, ASCII digits, one newline each (the last
+# one optional). Counts stop at 12 digits, far below int()'s digit limit.
+_CANONICAL_P_LINE = r"p edge ([0-9]{1,12}) ([0-9]{1,12})(?:\n|\Z)"
+_CANONICAL_E_LINES = r"(?:e [0-9]+ [0-9]+(?:\n|\Z))*"
+# Characters per slice of ``e`` lines (about 3000 lines): bounds the token
+# lists alive at once, so a dense file costs no more memory than its rows.
+_SLICE_CHARS = 1 << 15
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the DIMACS-like edge-list format (see module docstring)."""
+    """Parse the DIMACS-like edge-list format (see module docstring).
+
+    Text in the layout ``encode_edge_list`` writes is parsed in bulk, a slice
+    of lines at a time; anything else, and every error, goes through the line
+    loop, so both give the same graph or the same error.
+    """
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of a canonical edge list, or None for the line loop to decide.
+
+    Never raises. Each slice is checked by one regex, split, and its endpoints
+    looked up; then one OR pass sets both bits of every edge. A self-loop sets
+    at most one new bit and a duplicate none, so the rows hold 2m bits in all
+    iff neither occurs.
+    """
+    import re
+
+    head = re.match(_CANONICAL_P_LINE, text)
+    if head is None:
+        return None
+    n, m = int(head[1]), int(head[2])
+    if not 1 <= n <= EDGE_LIST_MAX_N:
+        return None
+    lines = re.compile(_CANONICAL_E_LINES)
+    # Only the canonical spelling of 1..n is a key, so the lookup is also the
+    # range check.
+    vertex = {str(v + 1): v for v in range(n)}.__getitem__
+    rows = [0] * n
+    found = 0
+    start, end_text = head.end(), len(text)
+    try:
+        while start < end_text:
+            end = text.find("\n", start + _SLICE_CHARS) + 1 or end_text
+            if lines.fullmatch(text, start, end) is None:
+                return None
+            tokens = text[start:end].split()
+            for u, v in zip(map(vertex, tokens[1::3]), map(vertex, tokens[2::3])):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            found += len(tokens) // 3
+            start = end
+    except KeyError:
+        return None
+    if found != m or sum(row.bit_count() for row in rows) != 2 * m:
+        return None
+    return Graph._from_symmetric_rows(n, rows)
+
+
+def _parse_lines(text: str) -> Graph:
+    """The line-by-line parser: any layout, and every parse error's message."""
     n = m = None
     rows: list[int] = []
     found = 0

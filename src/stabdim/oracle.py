@@ -23,8 +23,9 @@ exactly over the rationals.
 ``build_statevector`` and ``apply_pauli`` are an amplitude-level reference
 for tests; the nullity route does not use them. The module imports only
 ``graphs`` and ``errors``, so it shares no code with the configuration and
-Pauli routes it checks; ``PauliString`` in ``apply_pauli``'s signature is an
-annotation only.
+Pauli routes it checks: ``apply_pauli`` takes any object with a
+``PauliString``'s fields, and no annotation names a type the module does not
+import, so ``typing.get_type_hints`` resolves every signature.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ def build_statevector(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> ExactStateVect
     return ExactStateVector(g.n, tuple(re), (0,) * size)
 
 
-def apply_pauli(p: PauliString, v: ExactStateVector) -> ExactStateVector:
-    """Exact action: Z signs by source bits, X permutes, i**phase_exp rotates."""
+def apply_pauli(p, v: ExactStateVector) -> ExactStateVector:
+    """Exact action of ``p``, a ``PauliString`` (fields n, x, z, phase_exp):
+    Z signs by source bits, X permutes, i**phase_exp rotates."""
     if p.n != v.n:
         raise ValueError(f"size mismatch: operator on {p.n} qubits, state on {v.n}")
     size = 1 << v.n
@@ -130,8 +132,9 @@ def matrix_rank(rows) -> int:
     return len(bareiss_echelon(rows)[1])
 
 
-def _nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """Rational nullspace basis, one vector per free column, free column set to 1."""
+def _nullspace(rows, ncols: int) -> list[list]:
+    """Rational nullspace basis, one vector of Fractions per free column, free
+    column set to 1."""
     from fractions import Fraction
 
     echelon, pivot_cols = bareiss_echelon(rows)

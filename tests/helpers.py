@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from stabdim.cli import _single_edge_components
 from stabdim.configurations import (
     CLOSED_TWIN,
     LEAF,
@@ -399,3 +401,52 @@ def check_correspondence(g: Graph) -> bool:
         a, b = bit_indices(p.support())
         mapped.append(SlotPair((a, p.letter(a)), (b, p.letter(b))))
     return g2_rank(e for e, _ in elems) == slot_span_rank(mapped)
+
+
+def reference_report(g: Graph, a, nullity, source: str, components: bool, mode: str) -> str:
+    """``cli.format_report`` one configuration at a time: ``lie_generator`` per
+    text line, and ``json.dumps`` of a record with one dict per configuration."""
+    holds = a.dimension == a.g2
+    agrees = None if nullity is None else nullity == a.dimension
+    if mode == "machine":
+        record = {
+            "n": g.n,
+            "m": g.m,
+            "connected": a.connected,
+            "dimension": a.dimension,
+            "g2": a.g2,
+            "theorem_holds": holds,
+            "configurations": [{"kind": c.kind, "a": c.a, "b": c.b} for c in a.configurations],
+        }
+        if nullity is not None:
+            record["oracle_nullity"] = nullity
+            record["oracle_agrees"] = agrees
+        return json.dumps(record, separators=(",", ":")) + "\n"
+    yes_no = {True: "yes", False: "no"}
+    lines = [f"source: {source}", f"n: {g.n}", f"m: {g.m}", f"connected: {yes_no[a.connected]}"]
+    if components:
+        lines.append("mode: component-sum extension")
+    if a.configurations:
+        lines.append("configurations:")
+        lines += [
+            f"  {c.kind} a={c.a} b={c.b} generator {lie_generator(c)}" for c in a.configurations
+        ]
+    else:
+        lines.append("configurations: none")
+    lines.append(f"dimension: {a.dimension}")
+    lines.append(f"orbit_dimension: {3 * g.n + 1 - a.dimension} (derived)")
+    lines.append(f"g2: {a.g2}")
+    gap = a.dimension - a.g2
+    note = ""
+    if gap and gap == _single_edge_components(g):
+        plural = "s" if gap > 1 else ""
+        note = (
+            " (expected boundary for n = 2)"
+            if g.n == 2
+            else f" (expected boundary: {gap} component{plural} with n = 2)"
+        )
+    lines.append(f"theorem_holds: {yes_no[holds]}{note}")
+    if nullity is not None:
+        lines.append(f"oracle_nullity: {nullity}")
+        lines.append(f"oracle_agrees: {yes_no[agrees]}")
+    return "\n".join(lines) + "\n"

@@ -1,12 +1,14 @@
 """The top-level package: what it exports, its records, what importing the CLI
 loads, how its modules import each other, the names the traced bench wraps,
-and README's Library example."""
+its annotations, and README's Library example."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -136,16 +138,18 @@ def test_pauli_phase_is_reduced_mod_4():
 
 def test_importing_the_cli_loads_no_heavy_module():
     # Every CLI job pays its imports: fractions is for nullspace_basis only,
-    # json for --format machine only, and the records need no dataclasses.
+    # the machine report is formatted without json, and the records need no
+    # dataclasses.
     heavy = ["dataclasses", "inspect", "fractions", "decimal", "json"]
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import stabdim.cli; "
+        "stabdim.cli.run(['analyze', '--graph6', 'A_', '--format', 'machine']); "
         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out == "[]\n"
+    assert out.splitlines()[-1] == "[]"
 
 
 def _package_imports() -> dict[str, set[str]]:
@@ -210,3 +214,29 @@ def test_traced_names_exist(module, attribute):
     for part in path:
         owner = getattr(owner, part)
     assert callable(vars(owner).get(leaf)), f"stabdim.{module}.{attribute}"
+
+
+def _module_functions():
+    """(module, name, function) of every function defined at module level in ``stabdim.*``."""
+    out = []
+    for path in sorted((ROOT / "src" / "stabdim").glob("*.py")):
+        dotted = "stabdim" if path.stem == "__init__" else f"stabdim.{path.stem}"
+        module = importlib.import_module(dotted)
+        out += [
+            (module.__name__, name, value)
+            for name, value in vars(module).items()
+            if inspect.isfunction(value) and value.__module__ == module.__name__
+        ]
+    return out
+
+
+def test_every_function_annotation_resolves():
+    # Modules postpone annotations, so a name a module never imports breaks
+    # only when a tool resolves it; resolve them all here.
+    functions = _module_functions()
+    assert len(functions) > 40
+    for module, name, function in functions:
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            raise AssertionError(f"{module}.{name}: {exc}") from None

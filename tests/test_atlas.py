@@ -2,7 +2,8 @@
 
 import pytest
 
-from helpers import reference_brute_elements
+from helpers import reference_brute_elements, reference_report
+from stabdim.cli import format_report
 from stabdim.configurations import analyze
 from stabdim.graphs import Graph, encode_graph6, parse_graph6
 from stabdim.oracle import local_algebra_nullity
@@ -58,4 +59,16 @@ def test_graph6_matches_networkx():
         back = parse_graph6(text)
         if text != nx.to_graph6_bytes(h, header=False).decode().strip() or back != g:
             mismatches.append(text)
+    assert mismatches == []
+
+
+def test_reports_match_the_reference_on_every_graph():
+    mismatches = []
+    for _, g in ATLAS:
+        a = analyze(g)
+        components = not a.connected
+        for mode in ("text", "machine"):
+            got = format_report(g, a, None, "graph6 G", components, mode)
+            if got != reference_report(g, a, None, "graph6 G", components, mode):
+                mismatches.append((encode_graph6(g), mode))
     assert mismatches == []

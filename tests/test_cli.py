@@ -3,9 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import graphs_strategy, reference_report
 from stabdim import cli, graphs, oracle
 from stabdim.cli import run
+from stabdim.configurations import analyze
+from stabdim.graphs import Graph, generate
 
 
 def run_capture(capsys, argv):
@@ -483,3 +488,46 @@ class TestErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestReportMatchesReference:
+    """``format_report`` gives the reference's bytes, in both modes."""
+
+    @staticmethod
+    def assert_same(g, nullity, components):
+        a = analyze(g)
+        for mode in ("text", "machine"):
+            got = cli.format_report(g, a, nullity, "graph6 G", components, mode)
+            assert got == reference_report(g, a, nullity, "graph6 G", components, mode)
+
+    @given(graphs_strategy(max_n=10), st.none() | st.integers(0, 31), st.booleans())
+    @settings(max_examples=150)
+    def test_random_graphs(self, g, nullity, components):
+        self.assert_same(g, nullity, components)
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            (5, [(0, 1)]),  # one edge and three isolated vertices
+            (4, [(0, 1), (2, 3)]),
+            (6, [(0, 1), (2, 3), (3, 4)]),  # plus an isolated vertex
+            (8, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)]),
+            (3, []),
+        ],
+    )
+    def test_components(self, n, edges):
+        g = Graph.from_edges(n, edges)
+        for nullity in (None, oracle.local_algebra_nullity(g)):
+            self.assert_same(g, nullity, True)
+
+    def test_two_qubit_boundary(self):
+        g = generate("complete", 2)
+        for nullity in (None, 3):
+            self.assert_same(g, nullity, False)
+        assert "theorem_holds: no (expected boundary for n = 2)\n" in cli.format_report(
+            g, analyze(g), None, "graph6 A_", False
+        )
+
+    @pytest.mark.parametrize("family,p", [("complete", None), ("star", None), ("gnp", 0.9)])
+    def test_dense_graphs(self, family, p):
+        self.assert_same(generate(family, 60, p=p, seed=1), None, False)

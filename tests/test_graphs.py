@@ -29,6 +29,154 @@ def edges_of(g):
     return set(g.edges())
 
 
+# Each malformed edge list and its exact message.
+PARSE_ERRORS = {
+    "p edge 2 1\ne 1 1": "line 2: self-loop at vertex 1",
+    "p edge 2 1\ne 1 3": "line 2: endpoint outside [1, 2]",
+    "p edge 2 1\ne 0 1": "line 2: endpoint outside [1, 2]",  # endpoints are 1-based
+    "p edge 3 2\ne 1 2\ne 2 1": "line 3: duplicate edge (2, 1)",
+    "p edge 3 2\ne 1 2": "'p' line declares 2 edges, found 1",
+    "p edge 2 0\ne 1 2": "'p' line declares 0 edges, found 1",
+    "e 1 2\np edge 2 1": "line 1: 'e' line before 'p' line",
+    "p edge 2 1\np edge 2 1\ne 1 2": "line 2: duplicate 'p' line",
+    "p edge 0 0": "line 1: need n >= 1 and m >= 0",
+    "p edge two 1\ne 1 2": "line 1: non-integer counts in 'p' line",
+    "p edge 2 1\ne 1 x": "line 2: non-integer endpoint",
+    "p edge 2 1\nq 1 2": "line 2: unknown line type 'q'",
+    "p edge 2 1\ne 1": "line 2: expected 'e <u> <v>'",
+    "p edge 2\ne 1 2": "line 1: expected 'p edge <n> <m>'",
+    "": "missing 'p edge <n> <m>' line",
+}
+
+
+def outcome(parse, text):
+    """The graph ``parse`` returns, or the type and message of what it raises."""
+    try:
+        return parse(text)
+    except (GraphParseError, ConstraintError) as exc:
+        return type(exc), str(exc)
+
+
+# Slice lengths for the bulk parser: one or a few lines per slice, and the real one.
+SLICE_CHARS = (1, 9, graphs._SLICE_CHARS)
+
+
+def _joined(lines):
+    return "\n".join(lines) + "\n"
+
+
+def _counted(lines, delta):
+    """``lines`` with the edge count of the ``p`` line moved by ``delta``."""
+    _, _, n, m = lines[0].split()
+    return [f"p edge {n} {int(m) + delta}"] + lines[1:]
+
+
+def _endpoints(line):
+    _, u, v = line.split()
+    return u, v
+
+
+# Each takes the canonical lines, the index i >= 1 of an ``e`` line and n, and
+# returns the text of a layout or an error around line i.
+def duplicate(lines, i, n):
+    return _joined(_counted(lines[: i + 1] + [lines[i]] + lines[i + 1:], 1))
+
+
+def duplicate_reversed(lines, i, n):
+    u, v = _endpoints(lines[i])
+    return _joined(_counted(lines[: i + 1] + [f"e {v} {u}"] + lines[i + 1:], 1))
+
+
+def self_loop(lines, i, n):
+    u, _ = _endpoints(lines[i])
+    return _joined(_counted(lines[:i] + [f"e {u} {u}"] + lines[i:], 1))
+
+
+def endpoint_zero(lines, i, n):
+    u, _ = _endpoints(lines[i])
+    return _joined(lines[:i] + [f"e {u} 0"] + lines[i + 1:])
+
+
+def endpoint_past_n(lines, i, n):
+    u, _ = _endpoints(lines[i])
+    return _joined(lines[:i] + [f"e {u} {n + 1}"] + lines[i + 1:])
+
+
+def one_edge_more(lines, i, n):
+    return _joined(_counted(lines, 1))
+
+
+def one_edge_fewer(lines, i, n):
+    return _joined(_counted(lines, -1))
+
+
+def blank_line(lines, i, n):
+    return _joined(lines[:i] + [""] + lines[i:])
+
+
+def comment_line(lines, i, n):
+    return _joined(lines[:i] + ["c a comment"] + lines[i:])
+
+
+def double_space(lines, i, n):
+    return _joined(lines[:i] + [lines[i].replace(" ", "  ")] + lines[i + 1:])
+
+
+def tab(lines, i, n):
+    return _joined(lines[:i] + [lines[i].replace(" ", "\t", 1)] + lines[i + 1:])
+
+
+def trailing_space(lines, i, n):
+    return _joined(lines[:i] + [lines[i] + " "] + lines[i + 1:])
+
+
+def crlf(lines, i, n):
+    return "\r\n".join(lines) + "\r\n"
+
+
+def no_final_newline(lines, i, n):
+    return "\n".join(lines)
+
+
+def plus_sign(lines, i, n):
+    u, v = _endpoints(lines[i])
+    return _joined(lines[:i] + [f"e +{u} {v}"] + lines[i + 1:])
+
+
+def underscore(lines, i, n):
+    u, _ = _endpoints(lines[i])
+    return _joined(lines[:i] + [f"e {u} 1_0"] + lines[i + 1:])
+
+
+def leading_zero(lines, i, n):
+    u, v = _endpoints(lines[i])
+    return _joined(lines[:i] + [f"e 0{u} {v}"] + lines[i + 1:])
+
+
+def non_ascii_digit(lines, i, n):
+    # int() reads Arabic-Indic digits too, so the line loop accepts this line.
+    u, v = _endpoints(lines[i])
+    arabic = u.translate({ord("0") + d: 0x0660 + d for d in range(10)})
+    return _joined(lines[:i] + [f"e {arabic} {v}"] + lines[i + 1:])
+
+
+def e_line_first(lines, i, n):
+    return _joined([lines[i], lines[0]] + lines[1:i] + lines[i + 1:])
+
+
+def vertex_ceiling_with_edges(lines, i, n):
+    _, _, _, m = lines[0].split()
+    return _joined([f"p edge {EDGE_LIST_MAX_N + 1} {m}"] + lines[1:])
+
+
+MUTATIONS = (
+    duplicate, duplicate_reversed, self_loop, endpoint_zero, endpoint_past_n,
+    one_edge_more, one_edge_fewer, blank_line, comment_line, double_space, tab,
+    trailing_space, crlf, no_final_newline, plus_sign, underscore, leading_zero,
+    non_ascii_digit, e_line_first, vertex_ceiling_with_edges,
+)
+
+
 class TestGraphType:
     def test_from_edges(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -101,29 +249,11 @@ class TestEdgeList:
         assert parse_edge_list(K2_TEXT + "\n") == parse_edge_list(K2_TEXT)
         assert parse_edge_list("p edge 2 1\n\ne 1 2\n") == parse_edge_list(K2_TEXT)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "p edge 2 1\ne 1 1",  # self-loop
-            "p edge 2 1\ne 1 3",  # out of range
-            "p edge 2 1\ne 0 1",  # out of range (1-based)
-            "p edge 3 2\ne 1 2\ne 2 1",  # duplicate edge
-            "p edge 3 2\ne 1 2",  # count mismatch
-            "p edge 2 0\ne 1 2",  # count mismatch the other way
-            "e 1 2\np edge 2 1",  # e before p
-            "p edge 2 1\np edge 2 1\ne 1 2",  # duplicate p
-            "p edge 0 0",  # empty graph
-            "p edge two 1\ne 1 2",  # non-integer
-            "p edge 2 1\ne 1 x",  # non-integer endpoint
-            "p edge 2 1\nq 1 2",  # unknown line
-            "p edge 2 1\ne 1",  # wrong arity
-            "p edge 2\ne 1 2",  # malformed p
-            "",  # missing p
-        ],
-    )
+    @pytest.mark.parametrize("text", list(PARSE_ERRORS))
     def test_parse_errors(self, text):
-        with pytest.raises(GraphParseError):
+        with pytest.raises(GraphParseError) as excinfo:
             parse_edge_list(text)
+        assert str(excinfo.value) == PARSE_ERRORS[text]
 
     @given(graphs_strategy(max_n=14))
     @settings(max_examples=60)
@@ -139,6 +269,53 @@ class TestEdgeList:
         monkeypatch.setattr(Graph, "_from_symmetric_rows", no_graph)
         with pytest.raises(ConstraintError, match=f"cap at n={EDGE_LIST_MAX_N}, got n={n}"):
             parse_edge_list(f"p edge {n} 0\ne 1 2")
+
+    @given(graphs_strategy(max_n=12), st.sampled_from(SLICE_CHARS))
+    @settings(max_examples=60)
+    def test_canonical_layout_takes_the_bulk_path(self, g, slice_chars):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+            text = encode_edge_list(g)
+            assert graphs._parse_canonical(text) == g
+            assert graphs._parse_canonical(text.rstrip("\n")) == g
+            assert parse_edge_list(text) == graphs._parse_lines(text) == g
+
+    @given(graphs_strategy(min_n=2, max_n=10).filter(lambda g: g.m), st.data())
+    @settings(max_examples=400)
+    def test_bulk_and_line_loop_agree_on_mutations(self, g, data):
+        mutate = data.draw(st.sampled_from(MUTATIONS))
+        lines = encode_edge_list(g).splitlines()
+        text = mutate(lines, data.draw(st.integers(1, len(lines) - 1)), g.n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_SLICE_CHARS", data.draw(st.sampled_from(SLICE_CHARS)))
+            assert outcome(parse_edge_list, text) == outcome(graphs._parse_lines, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"p edge {EDGE_LIST_MAX_N + 1} 0",
+            f"p edge {EDGE_LIST_MAX_N} 0\n",
+            "p edge 1 0",
+            "p edge 2 1\ne 1 2\n\n",
+            "p edge 002 1\ne 1 2\n",
+            "p edge 2 1\ne 1 2\ne 1 2\n",
+            "p edge 2 1\ne 1 2e 1 2\n",
+            "p edge 3 1\ne 1 2\ne",
+            f"p edge {'9' * 5000} 0\n",  # past int()'s default digit limit
+            f"p edge 3 1\ne 1 {'0' * 5000}2\n",
+        ],
+    )
+    def test_bulk_and_line_loop_agree_on_edge_cases(self, text):
+        assert outcome(parse_edge_list, text) == outcome(graphs._parse_lines, text)
+
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__)
+    def test_mutations_past_the_first_slice(self, mutate):
+        # 4950 lines: the mutated last line lies in the second slice.
+        g = generate("complete", 100)
+        lines = encode_edge_list(g).splitlines()
+        text = mutate(lines, len(lines) - 1, g.n)
+        assert len(text) > graphs._SLICE_CHARS
+        assert outcome(parse_edge_list, text) == outcome(graphs._parse_lines, text)
 
 
 class TestGraph6:
