@@ -9,7 +9,11 @@ Two text formats are supported:
 * DIMACS-like edge lists: ``c`` comment lines, exactly one ``p edge <n> <m>``
   line (first non-comment line), then exactly ``m`` lines ``e <u> <v>`` with
   1-based endpoints, ``u != v``, no duplicates. ``n`` above
-  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line.
+  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. Runs
+  of canonical ``e`` lines (``encode_edge_list``'s layout, LF or CRLF
+  endings) are parsed in bulk wherever they occur, every other line one at a
+  time; an input with an error is parsed again line by line. Either way the
+  result is the same graph or the same message.
 * graph6, one-byte size form only (1 <= n <= 62): printable bytes 63..126
   carrying 6 bits each, upper-triangle adjacency bits in column-major order
   (0,1), (0,2), (1,2), (0,3), ...  The multi-byte size forms (leading byte
@@ -130,116 +134,110 @@ class Graph(namedtuple("Graph", "n adj")):
         return Graph(len(vertices), tuple(rows))
 
 
-# The layout ``encode_edge_list`` writes: the ``p`` line first, then only
-# ``e <u> <v>`` lines, single spaces, ASCII digits, one newline each (the last
-# one optional). Counts stop at 12 digits, far below int()'s digit limit.
-_CANONICAL_P_LINE = r"p edge ([0-9]{1,12}) ([0-9]{1,12})(?:\n|\Z)"
-_CANONICAL_E_LINES = r"(?:e [0-9]+ [0-9]+(?:\n|\Z))*"
-# Characters per slice of ``e`` lines (about 3000 lines): bounds the token
-# lists alive at once, so a dense file costs no more memory than its rows.
+# A run of ``e <u> <v>`` lines as ``encode_edge_list`` writes them, LF or CRLF,
+# read about 3000 lines a slice: that bounds the token lists alive at once, so
+# a dense file costs no more memory than its rows.
+_E_RUN = r"(?:e [0-9]+ [0-9]+\r?\n)+"
 _SLICE_CHARS = 1 << 15
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the DIMACS-like edge-list format (see module docstring).
 
-    Text in the layout ``encode_edge_list`` writes is parsed in bulk, a slice
-    of lines at a time; anything else, and every error, goes through the line
-    loop, so both give the same graph or the same error.
+    Runs of canonical ``e`` lines (LF or CRLF) are parsed in bulk wherever they
+    occur, every other line one at a time; an input with an error is parsed
+    again line by line. Either way: the same graph or the same message.
     """
-    g = _parse_canonical(text)
-    return _parse_lines(text) if g is None else g
+    try:
+        return _parse_edge_list(text, True)
+    except GraphParseError:
+        return _parse_edge_list(text, False)
 
 
-def _parse_canonical(text: str) -> Graph | None:
-    """The graph of a canonical edge list, or None for the line loop to decide.
+def _parse_edge_list(text: str, bulk: bool) -> Graph:
+    """One pass over ``text``; with ``bulk`` off, every line meets the line rules.
 
-    Never raises. Each slice is checked by one regex, split, and its endpoints
-    looked up; then one OR pass sets both bits of every edge. A self-loop sets
-    at most one new bit and a duplicate none, so the rows hold 2m bits in all
-    iff neither occurs.
+    The bulk lane looks endpoints up in a table of the canonical spellings of
+    1..n, which is also the range check, and ORs in both bits of each edge. A
+    self-loop sets at most one new bit and a duplicate none, so a popcount
+    total of 2 * edges rules both out. Other lines are cut into blocks that
+    end before the next line starting ``e <digit>``.
     """
     import re
 
-    head = re.match(_CANONICAL_P_LINE, text)
-    if head is None:
-        return None
-    n, m = int(head[1]), int(head[2])
-    if not 1 <= n <= EDGE_LIST_MAX_N:
-        return None
-    lines = re.compile(_CANONICAL_E_LINES)
-    # Only the canonical spelling of 1..n is a key, so the lookup is also the
-    # range check.
-    vertex = {str(v + 1): v for v in range(n)}.__getitem__
-    rows = [0] * n
-    found = 0
-    start, end_text = head.end(), len(text)
-    try:
-        while start < end_text:
-            end = text.find("\n", start + _SLICE_CHARS) + 1 or end_text
-            if lines.fullmatch(text, start, end) is None:
-                return None
-            tokens = text[start:end].split()
-            for u, v in zip(map(vertex, tokens[1::3]), map(vertex, tokens[2::3])):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            found += len(tokens) // 3
-            start = end
-    except KeyError:
-        return None
-    if found != m or sum(row.bit_count() for row in rows) != 2 * m:
-        return None
-    return Graph._from_symmetric_rows(n, rows)
-
-
-def _parse_lines(text: str) -> Graph:
-    """The line-by-line parser: any layout, and every parse error's message."""
-    n = m = None
+    e_run = re.compile(_E_RUN).match
+    block_end = re.compile(r"\n(?=e [0-9])").search
+    n = m = vertex = None
     rows: list[int] = []
-    found = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        kind = tokens[0]
-        if kind == "p":
-            if n is not None:
-                raise GraphParseError(f"line {lineno}: duplicate 'p' line")
-            if len(tokens) != 4 or tokens[1] != "edge":
-                raise GraphParseError(f"line {lineno}: expected 'p edge <n> <m>'")
-            try:
-                n, m = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: non-integer counts in 'p' line") from None
-            if n < 1 or m < 0:
-                raise GraphParseError(f"line {lineno}: need n >= 1 and m >= 0")
-            if n > EDGE_LIST_MAX_N:
-                raise ConstraintError(
-                    f"line {lineno}: edge lists cap at n={EDGE_LIST_MAX_N}, got n={n}"
-                )
-            rows = [0] * n
-        elif kind == "e":
-            if n is None:
-                raise GraphParseError(f"line {lineno}: 'e' line before 'p' line")
-            if len(tokens) != 3:
-                raise GraphParseError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: non-integer endpoint") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphParseError(f"line {lineno}: endpoint outside [1, {n}]")
-            if u == v:
-                raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
-            if rows[u - 1] >> (v - 1) & 1:
-                raise GraphParseError(f"line {lineno}: duplicate edge ({u}, {v})")
-            rows[u - 1] |= 1 << (v - 1)
-            rows[v - 1] |= 1 << (u - 1)
-            found += 1
-        else:
-            raise GraphParseError(f"line {lineno}: unknown line type {kind!r}")
+    found = lineno = pos = 0
+    while pos < len(text):
+        if bulk and n is not None:
+            run = e_run(text, pos, text.find("\n", pos + _SLICE_CHARS) + 1 or len(text))
+            if run is not None:
+                if vertex is None:
+                    vertex = {str(v + 1): v for v in range(n)}.__getitem__
+                tokens = text[pos:run.end()].split()
+                try:
+                    for u, v in zip(map(vertex, tokens[1::3]), map(vertex, tokens[2::3])):
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                except KeyError:
+                    raise GraphParseError("endpoint not a canonical 1..n") from None
+                found += len(tokens) // 3
+                lineno += len(tokens) // 3
+                pos = run.end()
+                continue
+        cut = bulk and block_end(text, pos)
+        stop = cut.end() if cut else len(text)
+        for raw in text[pos:stop].splitlines():
+            lineno += 1
+            tokens = raw.split()
+            if not tokens or tokens[0] == "c":
+                continue
+            kind = tokens[0]
+            if kind == "p":
+                if n is not None:
+                    raise GraphParseError(f"line {lineno}: duplicate 'p' line")
+                if len(tokens) != 4 or tokens[1] != "edge":
+                    raise GraphParseError(f"line {lineno}: expected 'p edge <n> <m>'")
+                try:
+                    n, m = int(tokens[2]), int(tokens[3])
+                except ValueError:
+                    raise GraphParseError(
+                        f"line {lineno}: non-integer counts in 'p' line"
+                    ) from None
+                if n < 1 or m < 0:
+                    raise GraphParseError(f"line {lineno}: need n >= 1 and m >= 0")
+                if n > EDGE_LIST_MAX_N:
+                    raise ConstraintError(
+                        f"line {lineno}: edge lists cap at n={EDGE_LIST_MAX_N}, got n={n}"
+                    )
+                rows = [0] * n
+            elif kind == "e":
+                if n is None:
+                    raise GraphParseError(f"line {lineno}: 'e' line before 'p' line")
+                if len(tokens) != 3:
+                    raise GraphParseError(f"line {lineno}: expected 'e <u> <v>'")
+                try:
+                    u, v = int(tokens[1]), int(tokens[2])
+                except ValueError:
+                    raise GraphParseError(f"line {lineno}: non-integer endpoint") from None
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise GraphParseError(f"line {lineno}: endpoint outside [1, {n}]")
+                if u == v:
+                    raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
+                if rows[u - 1] >> (v - 1) & 1:
+                    raise GraphParseError(f"line {lineno}: duplicate edge ({u}, {v})")
+                rows[u - 1] |= 1 << (v - 1)
+                rows[v - 1] |= 1 << (u - 1)
+                found += 1
+            else:
+                raise GraphParseError(f"line {lineno}: unknown line type {kind!r}")
+        pos = stop
     if n is None:
         raise GraphParseError("missing 'p edge <n> <m>' line")
+    if vertex is not None and sum(row.bit_count() for row in rows) != 2 * found:
+        raise GraphParseError("self-loop or duplicate edge in a bulk run")
     if found != m:
         raise GraphParseError(f"'p' line declares {m} edges, found {found}")
     return Graph._from_symmetric_rows(n, rows)

@@ -1,5 +1,7 @@
 """Graph type, parsers, encoders, and deterministic generation."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,7 +59,22 @@ def outcome(parse, text):
         return type(exc), str(exc)
 
 
-# Slice lengths for the bulk parser: one or a few lines per slice, and the real one.
+def line_by_line(text):
+    """The parse pass with the bulk lane off: every line through the line rules."""
+    return graphs._parse_edge_list(text, False)
+
+
+def parse_peak(text):
+    """Bytes allocated at the peak of ``parse_edge_list(text)``."""
+    tracemalloc.start()
+    try:
+        parse_edge_list(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Slice lengths for the bulk lane: one or a few lines per slice, and the real one.
 SLICE_CHARS = (1, 9, graphs._SLICE_CHARS)
 
 
@@ -177,6 +194,21 @@ MUTATIONS = (
 )
 
 
+def stacked(text, n, data, count):
+    """``text`` after ``count`` mutations drawn in turn; one that no longer fits
+    the mutated lines (say, a count change once the ``p`` line moved) is skipped."""
+    for _ in range(count):
+        lines = text.splitlines()
+        if len(lines) < 2:
+            break
+        mutate = data.draw(st.sampled_from(MUTATIONS))
+        try:
+            text = mutate(lines, data.draw(st.integers(1, len(lines) - 1)), n)
+        except ValueError:
+            pass
+    return text
+
+
 class TestGraphType:
     def test_from_edges(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -273,12 +305,26 @@ class TestEdgeList:
     @given(graphs_strategy(max_n=12), st.sampled_from(SLICE_CHARS))
     @settings(max_examples=60)
     def test_canonical_layout_takes_the_bulk_path(self, g, slice_chars):
+        # The line rules read each endpoint with int(); the bulk lane reads
+        # them from its table, so only the 'p' line's two counts call int().
+        calls = []
+
+        def counting_int(token):
+            calls.append(token)
+            return int(token)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
             text = encode_edge_list(g)
-            assert graphs._parse_canonical(text) == g
-            assert graphs._parse_canonical(text.rstrip("\n")) == g
-            assert parse_edge_list(text) == graphs._parse_lines(text) == g
+            for variant in (text, text.replace("\n", "\r\n"), "c header\n" + text):
+                assert parse_edge_list(variant) == line_by_line(variant) == g
+            patch.setattr(graphs, "int", counting_int, raising=False)
+            assert graphs._parse_edge_list(text, True) == g
+            assert len(calls) == 2
+            # Without the final newline the last 'e' line goes through the line rules.
+            calls.clear()
+            assert graphs._parse_edge_list(text.rstrip("\n"), True) == g
+            assert len(calls) == 2 + 2 * bool(g.m)
 
     @given(graphs_strategy(min_n=2, max_n=10).filter(lambda g: g.m), st.data())
     @settings(max_examples=400)
@@ -288,7 +334,15 @@ class TestEdgeList:
         text = mutate(lines, data.draw(st.integers(1, len(lines) - 1)), g.n)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graphs, "_SLICE_CHARS", data.draw(st.sampled_from(SLICE_CHARS)))
-            assert outcome(parse_edge_list, text) == outcome(graphs._parse_lines, text)
+            assert outcome(parse_edge_list, text) == outcome(line_by_line, text)
+
+    @given(graphs_strategy(min_n=2, max_n=10).filter(lambda g: g.m), st.data())
+    @settings(max_examples=400)
+    def test_bulk_and_line_loop_agree_on_stacked_mutations(self, g, data):
+        text = stacked(encode_edge_list(g), g.n, data, data.draw(st.integers(2, 3)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_SLICE_CHARS", data.draw(st.sampled_from(SLICE_CHARS)))
+            assert outcome(parse_edge_list, text) == outcome(line_by_line, text)
 
     @pytest.mark.parametrize(
         "text",
@@ -306,7 +360,33 @@ class TestEdgeList:
         ],
     )
     def test_bulk_and_line_loop_agree_on_edge_cases(self, text):
-        assert outcome(parse_edge_list, text) == outcome(graphs._parse_lines, text)
+        assert outcome(parse_edge_list, text) == outcome(line_by_line, text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # A duplicate, a self-loop or a leading-zero spelling of a duplicate
+            # in a bulk run, then a malformed line or a wrong count: whichever
+            # the bulk pass trips on, the message names the first bad line.
+            ("p edge 4 4\ne 1 2\ne 1 2\ne 2 3\ne 3\n", "line 3: duplicate edge (1, 2)"),
+            ("p edge 4 2\ne 1 2\ne 2 1\ne 2 3\n", "line 3: duplicate edge (2, 1)"),
+            ("p edge 3 3\ne 1 2\ne 2 2\ne 2 3\nq\n", "line 3: self-loop at vertex 2"),
+            ("p edge 3 9\ne 1 2\ne 2 2\ne 2 3\n", "line 3: self-loop at vertex 2"),
+            ("p edge 3 3\ne 1 2\ne 01 2\ne 2 3\ne 3 x\n", "line 3: duplicate edge (1, 2)"),
+            ("p edge 3 1\ne 1 2\ne 01 2\ne 2 3\n", "line 3: duplicate edge (1, 2)"),
+            # The same after a comment line, with CRLF endings, and with the
+            # later fault in a block of other lines between two bulk runs.
+            ("c x\r\np edge 3 1\r\ne 1 2\r\ne 1 2\r\ne 2\r\n", "line 4: duplicate edge (1, 2)"),
+            ("p edge 4 3\ne 3 4\ne 4 3\nc x\ne 1\ne 1 2\n", "line 3: duplicate edge (4, 3)"),
+            ("p edge 4 2\ne 3 3\n\ne 1  2\ne 1 2\n", "line 2: self-loop at vertex 3"),
+        ],
+    )
+    def test_first_bad_line_named_after_a_bulk_run(self, text, message):
+        for slice_chars in SLICE_CHARS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+                assert outcome(parse_edge_list, text) == (GraphParseError, message)
+        assert outcome(line_by_line, text) == (GraphParseError, message)
 
     @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__)
     def test_mutations_past_the_first_slice(self, mutate):
@@ -315,7 +395,24 @@ class TestEdgeList:
         lines = encode_edge_list(g).splitlines()
         text = mutate(lines, len(lines) - 1, g.n)
         assert len(text) > graphs._SLICE_CHARS
-        assert outcome(parse_edge_list, text) == outcome(graphs._parse_lines, text)
+        assert outcome(parse_edge_list, text) == outcome(line_by_line, text)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [lambda text: "c a DIMACS header\n" + text, lambda text: text.replace("\n", "\r\n")],
+        ids=["comment", "crlf"],
+    )
+    def test_comment_and_crlf_inputs_peak_like_the_canonical_list(self, variant):
+        # Runs of 'e' lines are parsed in bulk wherever they occur and with
+        # either line ending, so neither a leading comment nor CRLF makes the
+        # whole text go through splitlines().
+        text = encode_edge_list(generate("complete", 300))
+        assert parse_peak(variant(text)) <= 1.2 * parse_peak(text)
+
+    def test_edgeless_list_at_the_vertex_ceiling_builds_no_vertex_table(self):
+        # The str -> vertex table is built at the first bulk run, not for n = 65536
+        # vertices up front; the rows alone take 0.5 MiB here.
+        assert parse_peak(f"p edge {EDGE_LIST_MAX_N} 0\n") < 2 * 2**20
 
 
 class TestGraph6:
