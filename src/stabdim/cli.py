@@ -25,6 +25,7 @@ from .configurations import (
     analyze,
     detect_configurations,
     lie_generator,
+    require_core_input,
 )
 from .errors import ConsistencyError, ConstraintError, GraphParseError
 from .graphs import (
@@ -39,26 +40,19 @@ from .graphs import (
     parse_graph6,
 )
 from .pauli import low_weight_elements
-from .theorem import check_equivalence, graph6_detail, reproduction
+from .oracle import ORACLE_CEILING
+from .theorem import check_equivalence, check_gap, graph6_detail, reproduction
 
-# The oracle costs 2**n time and memory, so --oracle-max-n has a hard ceiling,
-# checked before the input is read. Brute enumeration costs O(n**2) row XORs;
-# its fixed cap, checked once the input is loaded, is contract, not cost.
-ORACLE_CEILING = 20
+# --oracle-max-n defaults to DEFAULT_ORACLE_CAP, the largest n --components also
+# runs the oracle for, and stops at oracle.ORACLE_CEILING, checked before the
+# input is read. BRUTE_MAX_N, checked once the input is loaded, is contract:
+# brute enumeration costs only O(n**2) row XORs.
+DEFAULT_ORACLE_CAP = 14
 BRUTE_MAX_N = 28
 
 
 class UsageError(Exception):
     pass
-
-
-def _single_edge_components(g: Graph) -> int:
-    """Number of components that are one edge: two vertices, each the other's only neighbour."""
-    return sum(
-        1
-        for u, row in enumerate(g.adj)
-        if row.bit_count() == 1 and g.adj[row.bit_length() - 1] == 1 << u
-    ) // 2
 
 
 def format_report(
@@ -103,10 +97,10 @@ def format_report(
     # local unitary group has dimension 3n+1; the orbit gets the rest
     lines.append(f"orbit_dimension: {3 * g.n + 1 - a.dimension} (derived)")
     lines.append(f"g2: {a.g2}")
-    # Each single-edge component adds 3 to the dimension but 2 to g2.
+    # Past check_gap, a gap is one per single-edge component (dimension 3, g2 2).
     gap = a.dimension - a.g2
     note = ""
-    if gap and gap == _single_edge_components(g):
+    if gap:
         plural = "s" if gap > 1 else ""
         note = (
             " (expected boundary for n = 2)"
@@ -160,19 +154,18 @@ def _load_graph(args) -> tuple[Graph, str]:
     return g, f"family {args.family}({detail})"
 
 
-def _report(g: Graph, source: str, args, with_oracle: bool, oracle_cap: int) -> int:
-    """Write the analyze/verify report; an oracle disagreement then raises (exit 4)."""
+def _report(g: Graph, source: str, args, with_oracle: bool) -> int:
+    """Gate dimension/g2, write the report, then raise on an oracle disagreement (exit 4)."""
     a = analyze(g)
-    if args.components:
-        # The component extension is only empirically gated, so cross-check the
-        # oracle whenever it is in reach.
-        run_oracle = with_oracle or g.n <= oracle.DEFAULT_ORACLE_CAP
-        nullity = oracle.local_algebra_nullity(g, cap=oracle_cap) if run_oracle else None
-    elif not a.connected:
-        raise ConstraintError("graph is disconnected; pass --components to sum per component")
-    else:
-        rep = check_equivalence(g, with_oracle, oracle_cap=oracle_cap, analysis=a)
-        nullity = rep.oracle_nullity
+    if not args.components:
+        if not a.connected:
+            raise ConstraintError("graph is disconnected; pass --components to sum per component")
+        require_core_input(a)
+    # The paper's theory covers connected graphs only, so cross-check component
+    # sums against the oracle whenever it is in reach.
+    run_oracle = with_oracle or (args.components and g.n <= DEFAULT_ORACLE_CAP)
+    nullity = oracle.local_algebra_nullity(g) if run_oracle else None
+    check_gap(g, a.dimension, a.g2, nullity)
     sys.stdout.write(format_report(g, a, nullity, source, args.components, args.format))
     if nullity is not None and nullity != a.dimension:
         detail = reproduction(g, a.dimension, a.g2, nullity)
@@ -181,7 +174,7 @@ def _report(g: Graph, source: str, args, with_oracle: bool, oracle_cap: int) -> 
 
 
 def _cmd_analyze(args) -> int:
-    return _report(*_load_graph(args), args, False, oracle.DEFAULT_ORACLE_CAP)
+    return _report(*_load_graph(args), args, False)
 
 
 def _cmd_verify(args) -> int:
@@ -190,7 +183,7 @@ def _cmd_verify(args) -> int:
     g, source = _load_graph(args)
     if g.n > args.oracle_max_n:
         raise ConstraintError(f"oracle cap is n={args.oracle_max_n}, got n={g.n}")
-    return _report(g, source, args, True, args.oracle_max_n)
+    return _report(g, source, args, True)
 
 
 def _cmd_enumerate(args) -> int:
@@ -203,9 +196,9 @@ def _cmd_enumerate(args) -> int:
         detail = f"brute={len(results['brute'])} fast={len(results['fast'])}{graph6_detail(g)}"
         raise ConsistencyError(f"brute and fast enumerations disagree ({detail})")
     elements = results[modes[0]]
+    width = f"0{g.n}b"
     for e, p in elements:
-        bits = "".join("1" if (e >> i) & 1 else "0" for i in range(g.n))
-        sys.stdout.write(f"{bits} {p}\n")
+        sys.stdout.write(f"{format(e, width)[::-1]} {p}\n")
     return 0
 
 
@@ -292,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_source_options(verify)
     verify.add_argument("--components", action="store_true", help="sum over components")
     verify.add_argument("--format", choices=("text", "machine"), default="text")
-    verify.add_argument("--oracle-max-n", type=int, default=oracle.DEFAULT_ORACLE_CAP)
+    verify.add_argument("--oracle-max-n", type=int, default=DEFAULT_ORACLE_CAP)
     verify.set_defaults(func=_cmd_verify)
 
     enum = sub.add_parser("enumerate", help="list weight-<=2 stabilizer elements")

@@ -20,6 +20,8 @@ blocks G = A^T A (real columns and imaginary columns never mix), using
 fraction-free Bareiss elimination on integers; rank(A^T A) = rank(A) holds
 exactly over the rationals.
 
+Both routes cost 2**n time and memory, so each refuses n > ``ORACLE_CEILING``,
+a limit no caller can raise.
 ``build_statevector`` and ``apply_pauli`` are an amplitude-level reference
 for tests; the nullity route does not use them. The module imports only
 ``graphs`` and ``errors``, so it shares no code with the configuration and
@@ -35,7 +37,7 @@ from collections import namedtuple
 from .errors import ConstraintError
 from .graphs import Graph
 
-DEFAULT_ORACLE_CAP = 14
+ORACLE_CEILING = 20
 
 
 class ExactStateVector(namedtuple("ExactStateVector", "n re im")):
@@ -51,10 +53,10 @@ class CoefficientVector(namedtuple("CoefficientVector", "theta t")):
     __slots__ = ()
 
 
-def build_statevector(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> ExactStateVector:
+def build_statevector(g: Graph) -> ExactStateVector:
     """amp[x] = (-1)**(number of edges with both endpoints set in x)."""
-    if g.n > cap:
-        raise ConstraintError(f"statevector oracle caps at n={cap}, got n={g.n}")
+    if g.n > ORACLE_CEILING:
+        raise ConstraintError(f"statevector oracle caps at n={ORACLE_CEILING}, got n={g.n}")
     size = 1 << g.n
     re = [1] * size
     full = size - 1
@@ -164,10 +166,10 @@ def _bit_pattern(n: int, a: int) -> int:
     return pattern
 
 
-def _gram_blocks(g: Graph, cap: int) -> tuple[list[list[int]], list[list[int]]]:
+def _gram_blocks(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     """Gram matrices of the real [theta, X_a, Z_a] and imaginary [Y_a] column blocks."""
-    if g.n > cap:
-        raise ConstraintError(f"statevector oracle caps at n={cap}, got n={g.n}")
+    if g.n > ORACLE_CEILING:
+        raise ConstraintError(f"statevector oracle caps at n={ORACLE_CEILING}, got n={g.n}")
     n = g.n
     size = 1 << n
     full = (1 << size) - 1
@@ -198,19 +200,19 @@ def _gram_blocks(g: Graph, cap: int) -> tuple[list[list[int]], list[list[int]]]:
     return gram(real_masks), gram(imag_masks)
 
 
-def local_algebra_nullity(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
+def local_algebra_nullity(g: Graph) -> int:
     """Dimension of the solution space of the stabilization system (3n+1 unknowns)."""
-    real_block, imag_block = _gram_blocks(g, cap)
+    real_block, imag_block = _gram_blocks(g)
     rank = matrix_rank(real_block) + matrix_rank(imag_block)
     return (3 * g.n + 1) - rank
 
 
-def nullspace_basis(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> list[CoefficientVector]:
+def nullspace_basis(g: Graph) -> list[CoefficientVector]:
     """Exact rational basis of the stabilization solution space."""
     from fractions import Fraction
 
     n = g.n
-    real_block, imag_block = _gram_blocks(g, cap)
+    real_block, imag_block = _gram_blocks(g)
     zero = Fraction(0)
     basis = []
     # Real-block solutions carry theta, t_x, t_z in column order [theta, X_0.., Z_0..].

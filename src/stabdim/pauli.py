@@ -19,7 +19,7 @@ from collections import namedtuple
 # g2_rank lives next to slot_span_rank; stabdim.g2_rank and theorem import it from here.
 from .configurations import analyze, exponent_vector, g2_rank
 from .errors import ConsistencyError, ConstraintError
-from .graphs import Graph, bit_indices, is_connected
+from .graphs import Graph, bit_indices
 
 _SIGNS = ("+", "+i", "-", "-i")
 _AXIS_BITS = {"X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
@@ -97,27 +97,25 @@ def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliS
     vector, O(n + m + output). The modes differ only in how they pick the
     exponent vectors and return identical lists, so comparing them checks the
     configuration detector. Both build each element with ``element(g, e)``
-    from the adjacency rows alone; on a connected graph a weight-< 2 element
-    raises ConsistencyError. Neither mode limits n.
+    from the adjacency rows alone. Only an isolated vertex's generator has
+    weight < 2, so any other such element raises ConsistencyError, on a
+    connected graph or not. Neither mode limits n.
     """
     if mode == "brute":
-        connected = g.n >= 2 and is_connected(g)
         exponents = _brute_exponents(g.adj)
     elif mode == "fast":
         a = analyze(g)
-        connected = a.n >= 2 and a.connected
-        if not connected:
+        if a.n < 2 or not a.connected:
             raise ConstraintError("fast enumeration needs a connected graph on >= 2 vertices")
         exponents = [exponent_vector(c) for c in a.configurations]
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'brute' or 'fast'")
     out = [(e, element(g, e)) for e in sorted(exponents)]
-    if connected:
-        for _, p in out:
-            if p.weight() < 2:
-                raise ConsistencyError(
-                    f"weight-{p.weight()} stabilizer element {p} on a connected graph"
-                )
+    for e, p in out:
+        if p.weight() < 2 and (e & (e - 1) or g.adj[e.bit_length() - 1]):
+            raise ConsistencyError(
+                f"weight-{p.weight()} stabilizer element {p} on a connected graph"
+            )
     return out
 
 

@@ -2,8 +2,10 @@
 
 The configuration count, the GF(2) rank of the weight-<=2 exponent vectors,
 and the exact statevector nullity must coincide on every connected graph
-with n >= 3; the unique connected 2-vertex graph is the documented boundary
-where the dimension is 3 but the rank is 2.
+with n >= 3. The unique connected 2-vertex graph is the boundary where the
+dimension is 3 but the rank is 2, so on any graph, component sums included,
+dimension - g2 is the number of single-edge components (``boundary_gap``).
+``check_gap`` is the one gate on that rule.
 """
 
 from __future__ import annotations
@@ -11,10 +13,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import oracle
-from .configurations import Analysis, analyze, require_core_input
+from .configurations import analyze, require_core_input
 from .errors import ConsistencyError
 from .graphs import GRAPH6_MAX_N, Graph, encode_graph6
-from .oracle import DEFAULT_ORACLE_CAP
 from .pauli import g2_rank, low_weight_elements
 
 
@@ -26,40 +27,43 @@ class EquivalenceReport(
     __slots__ = ()
 
 
-def check_equivalence(
-    g: Graph,
-    with_oracle: bool = False,
-    element_mode: str = "fast",
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    analysis: Analysis | None = None,
-) -> EquivalenceReport:
-    """Compute dimension and g2 (and optionally the oracle nullity) on one graph.
+def boundary_gap(g: Graph) -> int:
+    """Number of components that are one edge: two vertices, each the other's only neighbour."""
+    return sum(
+        1
+        for u, row in enumerate(g.adj)
+        if row.bit_count() == 1 and g.adj[row.bit_length() - 1] == 1 << u
+    ) // 2
 
-    A dimension/g2 mismatch on n >= 3 raises ConsistencyError: that would
-    falsify the implementation, not the input. At n = 2 only the boundary gap
-    (dimension 3, g2 2) is expected and reported; any other pair raises too.
-    The message ends with ``reproduction``'s detail; the oracle, when asked
-    for, runs first so the detail carries its nullity too.
 
-    In fast mode ``dimension`` and ``g2`` come from one detection pass
-    (``analysis``, computed unless given), so that gate is not independent;
-    ``element_mode="brute"`` and the oracle are.
-    """
-    analysis = require_core_input(analyze(g) if analysis is None else analysis)
-    g2 = analysis.g2
-    if element_mode != "fast":
-        g2 = g2_rank(e for e, _ in low_weight_elements(g, mode=element_mode))
-    dimension = analysis.dimension
-    nullity = oracle.local_algebra_nullity(g, cap=oracle_cap) if with_oracle else None
-    holds = dimension == g2
-    # The one connected 2-vertex graph is the boundary: dimension 3, g2 2.
-    if dimension - g2 != (g.n == 2):
+def check_gap(g: Graph, dimension: int, g2: int, nullity: int | None) -> None:
+    """Raise ConsistencyError, a fault in the program and not the input, unless
+    dimension - g2 == ``boundary_gap(g)``; the message ends with ``reproduction``'s detail."""
+    gap = boundary_gap(g)
+    if dimension - g2 != gap:
         raise ConsistencyError(
-            f"dimension {dimension} != g2 {g2} on a connected graph with n={g.n} "
+            f"dimension {dimension} - g2 {g2} != expected gap {gap} on a graph with n={g.n} "
             f"({reproduction(g, dimension, g2, nullity)})"
         )
-    agrees = None if nullity is None else nullity == dimension
-    return EquivalenceReport(g.n, dimension, g2, nullity, holds, agrees)
+
+
+def check_equivalence(
+    g: Graph, with_oracle: bool = False, element_mode: str = "fast"
+) -> EquivalenceReport:
+    """Dimension, g2 and optionally the oracle nullity of a connected graph with
+    n >= 2, passed through ``check_gap`` after the oracle so a failure names it.
+
+    In fast mode ``dimension`` and ``g2`` come from one detection pass, so that
+    gate is not independent; ``element_mode="brute"`` and the oracle are.
+    """
+    a = require_core_input(analyze(g))
+    g2 = a.g2
+    if element_mode != "fast":
+        g2 = g2_rank(e for e, _ in low_weight_elements(g, mode=element_mode))
+    nullity = oracle.local_algebra_nullity(g) if with_oracle else None
+    check_gap(g, a.dimension, g2, nullity)
+    agrees = None if nullity is None else nullity == a.dimension
+    return EquivalenceReport(g.n, a.dimension, g2, nullity, a.dimension == g2, agrees)
 
 
 def reproduction(g: Graph, dimension: int, g2: int, nullity: int | None) -> str:

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from stabdim.cli import _single_edge_components
 from stabdim.configurations import (
     CLOSED_TWIN,
     LEAF,
@@ -21,7 +20,6 @@ from stabdim.configurations import (
 from stabdim.errors import ConstraintError
 from stabdim.graphs import Graph, bit_indices, connected_components, generate, is_connected
 from stabdim.oracle import (
-    DEFAULT_ORACLE_CAP,
     CoefficientVector,
     _bit_pattern,
     apply_pauli,
@@ -217,9 +215,9 @@ def _sign_mask(values) -> int:
     return mask
 
 
-def reference_gram_blocks(g: Graph, cap: int = DEFAULT_ORACLE_CAP):
+def reference_gram_blocks(g: Graph):
     """Per-amplitude Gram blocks: apply_pauli on the statevector, then pack each column."""
-    v0 = build_statevector(g, cap)
+    v0 = build_statevector(g)
     size = 1 << g.n
     real_masks = [_sign_mask(v0.re)]
     imag_masks = []
@@ -438,7 +436,7 @@ def reference_report(g: Graph, a, nullity, source: str, components: bool, mode: 
     lines.append(f"g2: {a.g2}")
     gap = a.dimension - a.g2
     note = ""
-    if gap and gap == _single_edge_components(g):
+    if gap and gap == sum(len(c) == 2 for c in connected_components(g)):
         plural = "s" if gap > 1 else ""
         note = (
             " (expected boundary for n = 2)"

@@ -1,6 +1,7 @@
 """CLI surface: sources, reports, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -186,26 +187,52 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize(
-        "command,graph6,n,g2,nullity",
+        "command,graph6,n,g2,gap,nullity",
         [
-            ("analyze", "Ds_", 5, 4, "not-run"),
-            ("verify", "Ds_", 5, 4, "4"),
+            ("analyze", "Ds_", 5, 4, 0, "not-run"),
+            ("verify", "Ds_", 5, 4, 0, "4"),
             # At n = 2 only the boundary gap (dimension 3, g2 2) passes the gate.
-            ("analyze", "A_", 2, 2, "not-run"),
+            ("analyze", "A_", 2, 2, 1, "not-run"),
         ],
         ids=["analyze-not-run", "verify-4", "analyze-n2"],
     )
     def test_route_mismatch_names_the_input(
-        self, capsys, monkeypatch, command, graph6, n, g2, nullity
+        self, capsys, monkeypatch, command, graph6, n, g2, gap, nullity
     ):
         real = cli.analyze
         monkeypatch.setattr(cli, "analyze", lambda g: real(g)._replace(dimension=99))
         code, out, err = run_capture(capsys, [command, "--graph6", graph6])
         assert (code, out) == (4, "")
         assert err == (
-            f"internal consistency failure: dimension 99 != g2 {g2} on a connected graph with n={n} "
-            f"(dimension=99 g2={g2} oracle_nullity={nullity} graph6={graph6})\n"
+            f"internal consistency failure: dimension 99 - g2 {g2} != expected gap {gap} on a "
+            f"graph with n={n} (dimension=99 g2={g2} oracle_nullity={nullity} graph6={graph6})\n"
         )
+
+    def test_equal_pair_at_n2_names_the_expected_gap(self, capsys, monkeypatch):
+        # dimension == g2 is itself a fault on K2, whose gap is 1.
+        real = cli.analyze
+        monkeypatch.setattr(cli, "analyze", lambda g: real(g)._replace(dimension=2))
+        code, out, err = run_capture(capsys, ["analyze", "--graph6", "A_"])
+        assert (code, out) == (4, "")
+        assert err == (
+            "internal consistency failure: dimension 2 - g2 2 != expected gap 1 on a graph "
+            "with n=2 (dimension=2 g2=2 oracle_nullity=not-run graph6=A_)\n"
+        )
+
+    def test_components_gate_above_the_oracle_cap(self, capsys, monkeypatch):
+        # Beyond n = 14 --components runs no oracle, so only the gate sees the fault.
+        argv = ["analyze", "--family", "gnp", "--n", "40", "--p", "0.03", "--seed", "3",
+                "--components"]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0 and "connected: no\n" in out and "oracle_nullity" not in out
+        real = cli.analyze
+        monkeypatch.setattr(
+            cli, "analyze", lambda g: (a := real(g))._replace(dimension=a.dimension + 1)
+        )
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("internal consistency failure: dimension ")
+        assert " oracle_nullity=not-run graph6=" in err
 
     def test_components_disagreement_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g, cap=14: 99)
@@ -369,6 +396,30 @@ class TestCeilings:
             capsys, ["verify", "--graph6", "A_", "--oracle-max-n", str(cli.ORACLE_CEILING)]
         )
         assert code == 0 and "oracle_agrees: yes" in out
+
+
+class TestConnectivityPasses:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--family", "star", "--n", "6"],
+            ["analyze", "--family", "gnp", "--n", "9", "--p", "0.2", "--seed", "2", "--components"],
+            ["verify", "--family", "path", "--n", "6"],
+            ["enumerate", "--family", "star", "--n", "6", "--mode", "both"],
+            ["enumerate", "--family", "star", "--n", "6", "--mode", "brute"],
+            ["enumerate", "--family", "star", "--n", "6", "--mode", "fast"],
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[-1:]),
+    )
+    def test_at_most_one_per_command(self, capsys, monkeypatch, argv):
+        calls = []
+        real = graphs.is_connected
+        for module in [m for name, m in sys.modules.items() if name.startswith("stabdim")]:
+            if getattr(module, "is_connected", None) is real:
+                monkeypatch.setattr(module, "is_connected", lambda g: calls.append(g) or real(g))
+        code, _, _ = run_capture(capsys, argv)
+        assert code == 0
+        assert len(calls) <= 1
 
 
 class TestFamilyCeiling:

@@ -25,7 +25,6 @@ from stabdim.configurations import analyze, detect_configurations, lie_generator
 from stabdim.errors import ConstraintError
 from stabdim.graphs import Graph, generate
 from stabdim.oracle import (
-    DEFAULT_ORACLE_CAP,
     CoefficientVector,
     _gram_blocks,
     apply_pauli,
@@ -68,9 +67,8 @@ class TestBuildStatevector:
         assert v.re[0b111] == 1
 
     def test_cap(self):
-        with pytest.raises(ConstraintError):
-            build_statevector(generate("path", 15))
-        assert build_statevector(generate("path", 15), cap=15).n == 15
+        with pytest.raises(ConstraintError, match="caps at n=20, got n=21"):
+            build_statevector(generate("path", 21))
 
 
 class TestApplyPauli:
@@ -147,8 +145,10 @@ class TestNullity:
         assert local_algebra_nullity(generate("cycle", 5)) == 0
 
     def test_cap(self):
-        with pytest.raises(ConstraintError, match="caps at n=14, got n=15"):
-            local_algebra_nullity(generate("path", 15))
+        # One hard ceiling, which no argument raises; the CLI's default of 14 is its own.
+        with pytest.raises(ConstraintError, match="caps at n=20, got n=21"):
+            local_algebra_nullity(generate("path", 21))
+        assert local_algebra_nullity(generate("path", 15)) == 2
 
     def test_gram_route_equals_direct_route_exhaustive(self):
         for n in (1, 2, 3):
@@ -226,12 +226,12 @@ class TestGramBlocks:
     def test_equal_to_reference_exhaustive(self):
         for n in range(1, 6):
             for g in all_labeled_graphs(n):
-                assert _gram_blocks(g, DEFAULT_ORACLE_CAP) == reference_gram_blocks(g)
+                assert _gram_blocks(g) == reference_gram_blocks(g)
 
     @given(graphs_strategy(min_n=1, max_n=10))
     @settings(max_examples=40, deadline=None)
     def test_equal_to_reference_random(self, g):
-        assert _gram_blocks(g, DEFAULT_ORACLE_CAP) == reference_gram_blocks(g)
+        assert _gram_blocks(g) == reference_gram_blocks(g)
 
 
 def stabilization_probes(g):

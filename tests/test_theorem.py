@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    all_labeled_graphs,
     check_correspondence,
     check_pairwise_overlap,
     check_support_pairs,
     connected_graphs_strategy,
 )
 from stabdim import theorem
+from stabdim.configurations import analyze
 from stabdim.errors import ConsistencyError, ConstraintError
 from stabdim.graphs import Graph, encode_graph6, generate
 from stabdim.theorem import EquivalenceReport, check_equivalence
@@ -61,8 +63,30 @@ class TestCheckEquivalence:
     def test_mismatch_at_n2_other_than_boundary_raises(self, monkeypatch):
         # At n = 2 only the boundary gap (dimension 3, g2 2) is reported.
         self._break_dimension(monkeypatch)
-        with pytest.raises(ConsistencyError, match=r"^dimension 99 != g2 2 .* with n=2 "):
+        with pytest.raises(
+            ConsistencyError, match=r"^dimension 99 - g2 2 != expected gap 1 on a graph with n=2 "
+        ):
             check_equivalence(generate("complete", 2))
+
+
+class TestBoundaryGap:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_is_dimension_minus_g2_on_every_graph(self, n):
+        # Disconnected graphs included: the gap is one per single-edge component.
+        for g in all_labeled_graphs(n):
+            a = analyze(g)
+            assert a.dimension - a.g2 == theorem.boundary_gap(g)
+
+    def test_counts_single_edge_components(self):
+        assert theorem.boundary_gap(generate("complete", 2)) == 1
+        assert theorem.boundary_gap(generate("path", 3)) == 0
+        assert theorem.boundary_gap(Graph.from_edges(7, [(0, 1), (2, 3), (4, 5), (5, 6)])) == 2
+
+    def test_check_gap_passes_the_boundary_only(self):
+        k2 = generate("complete", 2)
+        theorem.check_gap(k2, 3, 2, None)
+        with pytest.raises(ConsistencyError, match=r"^dimension 3 - g2 3 != expected gap 1 "):
+            theorem.check_gap(k2, 3, 3, 3)
 
 
 class TestReproduction:
