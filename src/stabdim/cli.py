@@ -41,7 +41,7 @@ from .graphs import (
 )
 from .pauli import low_weight_elements
 from .oracle import ORACLE_CEILING
-from .theorem import check_equivalence, check_gap, graph6_detail, reproduction
+from .theorem import check_equivalence, check_routes, graph6_detail
 
 # --oracle-max-n defaults to DEFAULT_ORACLE_CAP, the largest n --components also
 # runs the oracle for, and stops at oracle.ORACLE_CEILING, checked before the
@@ -97,7 +97,7 @@ def format_report(
     # local unitary group has dimension 3n+1; the orbit gets the rest
     lines.append(f"orbit_dimension: {3 * g.n + 1 - a.dimension} (derived)")
     lines.append(f"g2: {a.g2}")
-    # Past check_gap, a gap is one per single-edge component (dimension 3, g2 2).
+    # Past check_routes, a gap is one per single-edge component (dimension 3, g2 2).
     gap = a.dimension - a.g2
     note = ""
     if gap:
@@ -124,8 +124,9 @@ def _family_args(args) -> tuple:
     return args.family, args.n, args.p, args.seed
 
 
-def _load_graph(args) -> tuple[Graph, str]:
-    """The chosen input and its source line, e.g. ``graph6 A_``."""
+def _load_graph(args, cap: tuple[str, int] | None = None) -> tuple[Graph, str]:
+    """The chosen input and its source line, e.g. ``graph6 A_``. A ``(name, max_n)``
+    cap refuses a larger n as soon as n is known, before a family graph is built."""
     chosen = [
         name
         for name in ("file", "graph6", "family")
@@ -140,22 +141,33 @@ def _load_graph(args) -> tuple[Graph, str]:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphParseError(f"cannot read {args.file}: {exc}") from None
-        return parse_edge_list(text), f"edge-list {args.file}"
-    if kind == "graph6":
-        return parse_graph6(args.graph6), f"graph6 {args.graph6}"
-    if args.n is None:
-        raise UsageError("--family requires --n")
-    g = generate(*_family_args(args))
-    detail = f"n={args.n}"
-    if args.p is not None:
-        detail += f",p={args.p}"
-    if args.family in ("tree", "gnp"):
-        detail += f",seed={args.seed}"
-    return g, f"family {args.family}({detail})"
+        # A leading byte-order mark, as some editors write, is not part of the list.
+        g, source = parse_edge_list(text.removeprefix("\ufeff")), f"edge-list {args.file}"
+    elif kind == "graph6":
+        g, source = parse_graph6(args.graph6), f"graph6 {args.graph6}"
+    else:
+        if args.n is None:
+            raise UsageError("--family requires --n")
+        family_args = _family_args(args)
+        _check_cap(cap, args.n)
+        g = generate(*family_args)
+        detail = f"n={args.n}"
+        if args.p is not None:
+            detail += f",p={args.p}"
+        if args.family in ("tree", "gnp"):
+            detail += f",seed={args.seed}"
+        return g, f"family {args.family}({detail})"
+    _check_cap(cap, g.n)
+    return g, source
+
+
+def _check_cap(cap: tuple[str, int] | None, n: int) -> None:
+    if cap is not None and n > cap[1]:
+        raise ConstraintError(f"{cap[0]} cap is n={cap[1]}, got n={n}")
 
 
 def _report(g: Graph, source: str, args, with_oracle: bool) -> int:
-    """Gate dimension/g2, write the report, then raise on an oracle disagreement (exit 4)."""
+    """Write the report once every route agrees; a disagreement raises first (exit 4)."""
     a = analyze(g)
     if not args.components:
         if not a.connected:
@@ -165,11 +177,8 @@ def _report(g: Graph, source: str, args, with_oracle: bool) -> int:
     # sums against the oracle whenever it is in reach.
     run_oracle = with_oracle or (args.components and g.n <= DEFAULT_ORACLE_CAP)
     nullity = oracle.local_algebra_nullity(g) if run_oracle else None
-    check_gap(g, a.dimension, a.g2, nullity)
+    check_routes(g, a.dimension, a.g2, nullity)
     sys.stdout.write(format_report(g, a, nullity, source, args.components, args.format))
-    if nullity is not None and nullity != a.dimension:
-        detail = reproduction(g, a.dimension, a.g2, nullity)
-        raise ConsistencyError(f"oracle nullity {nullity} != dimension {a.dimension} ({detail})")
     return 0
 
 
@@ -180,17 +189,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     if args.oracle_max_n > ORACLE_CEILING:
         raise ConstraintError(f"--oracle-max-n has a hard ceiling of {ORACLE_CEILING}")
-    g, source = _load_graph(args)
-    if g.n > args.oracle_max_n:
-        raise ConstraintError(f"oracle cap is n={args.oracle_max_n}, got n={g.n}")
-    return _report(g, source, args, True)
+    return _report(*_load_graph(args, ("oracle", args.oracle_max_n)), args, True)
 
 
 def _cmd_enumerate(args) -> int:
-    g, _ = _load_graph(args)
     modes = ("brute", "fast") if args.mode == "both" else (args.mode,)
-    if "brute" in modes and g.n > BRUTE_MAX_N:
-        raise ConstraintError(f"enumeration cap is n={BRUTE_MAX_N}, got n={g.n}")
+    g, _ = _load_graph(args, ("enumeration", BRUTE_MAX_N) if "brute" in modes else None)
     results = {mode: low_weight_elements(g, mode=mode) for mode in modes}
     if len(results) == 2 and results["brute"] != results["fast"]:
         detail = f"brute={len(results['brute'])} fast={len(results['fast'])}{graph6_detail(g)}"

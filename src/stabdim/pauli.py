@@ -94,8 +94,9 @@ def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliS
     and n(n-1)/2 pairs of generators, O(n**2) row XORs, and nothing that
     groups vertices into classes. ``fast`` needs a connected graph on >= 2
     vertices and maps each configuration of ``analyze(g)`` to its exponent
-    vector, O(n + m + output). The modes differ only in how they pick the
-    exponent vectors and return identical lists, so comparing them checks the
+    vector, O(n + m + output) row operations, each O(n/w) words on n-bit rows
+    (see ROADMAP item 3). The modes differ only in how they pick the exponent
+    vectors and return identical lists, so comparing them checks the
     configuration detector. Both build each element with ``element(g, e)``
     from the adjacency rows alone. Only an isolated vertex's generator has
     weight < 2, so any other such element raises ConsistencyError, on a
@@ -114,7 +115,8 @@ def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliS
     for e, p in out:
         if p.weight() < 2 and (e & (e - 1) or g.adj[e.bit_length() - 1]):
             raise ConsistencyError(
-                f"weight-{p.weight()} stabilizer element {p} on a connected graph"
+                f"weight-{p.weight()} stabilizer element {p} from exponent vector "
+                f"{format(e, f'0{g.n}b')[::-1]}, which is not one isolated vertex"
             )
     return out
 

@@ -5,7 +5,7 @@ and the exact statevector nullity must coincide on every connected graph
 with n >= 3. The unique connected 2-vertex graph is the boundary where the
 dimension is 3 but the rank is 2, so on any graph, component sums included,
 dimension - g2 is the number of single-edge components (``boundary_gap``).
-``check_gap`` is the one gate on that rule.
+``check_routes`` is the one gate on that rule and on the oracle's nullity.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .pauli import g2_rank, low_weight_elements
 class EquivalenceReport(
     namedtuple("EquivalenceReport", "n dimension g2 oracle_nullity holds oracle_agrees")
 ):
-    """Each route's value on one graph; the oracle fields are None unless it ran."""
+    """Each route's value on one graph; oracle fields are None unless it ran, else they agree."""
 
     __slots__ = ()
 
@@ -36,22 +36,25 @@ def boundary_gap(g: Graph) -> int:
     ) // 2
 
 
-def check_gap(g: Graph, dimension: int, g2: int, nullity: int | None) -> None:
-    """Raise ConsistencyError, a fault in the program and not the input, unless
-    dimension - g2 == ``boundary_gap(g)``; the message ends with ``reproduction``'s detail."""
+def check_routes(g: Graph, dimension: int, g2: int, nullity: int | None) -> None:
+    """Raise ConsistencyError, a program fault, unless dimension - g2 == ``boundary_gap(g)``
+    (checked first) and nullity is None or dimension; the message ends with ``reproduction``."""
     gap = boundary_gap(g)
     if dimension - g2 != gap:
         raise ConsistencyError(
             f"dimension {dimension} - g2 {g2} != expected gap {gap} on a graph with n={g.n} "
             f"({reproduction(g, dimension, g2, nullity)})"
         )
+    if nullity is not None and nullity != dimension:
+        detail = reproduction(g, dimension, g2, nullity)
+        raise ConsistencyError(f"oracle nullity {nullity} != dimension {dimension} ({detail})")
 
 
 def check_equivalence(
     g: Graph, with_oracle: bool = False, element_mode: str = "fast"
 ) -> EquivalenceReport:
     """Dimension, g2 and optionally the oracle nullity of a connected graph with
-    n >= 2, passed through ``check_gap`` after the oracle so a failure names it.
+    n >= 2; ``check_routes`` raises after the oracle on any route disagreement.
 
     In fast mode ``dimension`` and ``g2`` come from one detection pass, so that
     gate is not independent; ``element_mode="brute"`` and the oracle are.
@@ -61,7 +64,7 @@ def check_equivalence(
     if element_mode != "fast":
         g2 = g2_rank(e for e, _ in low_weight_elements(g, mode=element_mode))
     nullity = oracle.local_algebra_nullity(g) if with_oracle else None
-    check_gap(g, a.dimension, g2, nullity)
+    check_routes(g, a.dimension, g2, nullity)
     agrees = None if nullity is None else nullity == a.dimension
     return EquivalenceReport(g.n, a.dimension, g2, nullity, a.dimension == g2, agrees)
 

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from helpers import graphs_strategy, reference_report
 from stabdim import cli, graphs, oracle
-from stabdim.cli import run
+from stabdim.cli import format_report, run
 from stabdim.configurations import analyze
-from stabdim.graphs import Graph, generate
+from stabdim.errors import ConsistencyError
+from stabdim.graphs import Graph, encode_edge_list, encode_graph6, generate
+from stabdim.theorem import check_equivalence
 
 
 def run_capture(capsys, argv):
@@ -173,14 +175,12 @@ class TestVerify:
         assert json.loads(out)["oracle_nullity"] == 14
 
     def test_oracle_disagreement_exits_4(self, capsys, monkeypatch):
-        argv = ["verify", "--family", "star", "--n", "5", "--format", "machine"]
-        _, expected_out, _ = run_capture(capsys, argv)
-        monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g, cap=14: 99)
-        code, out, err = run_capture(capsys, argv)
-        assert code == 4
-        assert json.loads(out)["oracle_agrees"] is False
-        assert out == expected_out.replace('"oracle_nullity":4,"oracle_agrees":true',
-                                           '"oracle_nullity":99,"oracle_agrees":false')
+        # The oracle rule is a clause of the one gate, so nothing is written first.
+        monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g: 99)
+        code, out, err = run_capture(
+            capsys, ["verify", "--family", "star", "--n", "5", "--format", "machine"]
+        )
+        assert (code, out) == (4, "")
         assert err == (
             "internal consistency failure: oracle nullity 99 != dimension 4 "
             "(dimension=4 g2=4 oracle_nullity=99 graph6=Ds_)\n"
@@ -235,10 +235,9 @@ class TestVerify:
         assert " oracle_nullity=not-run graph6=" in err
 
     def test_components_disagreement_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g, cap=14: 99)
+        monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g: 99)
         code, out, err = run_capture(capsys, ["analyze", "--graph6", "B_", "--components"])
-        assert code == 4
-        assert "oracle_agrees: no" in out
+        assert (code, out) == (4, "")
         assert err.startswith("internal consistency failure: oracle nullity 99 != dimension ")
         assert err.endswith(" oracle_nullity=99 graph6=B_)\n")
 
@@ -259,6 +258,71 @@ class TestVerify:
         _, first, _ = run_capture(capsys, argv)
         _, second, _ = run_capture(capsys, argv)
         assert first == second
+
+
+class TestRouteFaults:
+    """Every route disagreement exits 4 from one gate, before anything is written."""
+
+    COMMANDS = [
+        ["analyze", "--graph6", "Ds_"],
+        ["verify", "--graph6", "Ds_"],
+        ["analyze", "--graph6", "B_", "--components"],
+        ["verify", "--graph6", "B_", "--components"],
+    ]
+    ORACLE_COMMANDS = COMMANDS[1:]
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        zip(COMMANDS, [
+            "dimension 5 - g2 4 != expected gap 0 on a graph with n=5 "
+            "(dimension=5 g2=4 oracle_nullity=not-run graph6=Ds_)",
+            "dimension 5 - g2 4 != expected gap 0 on a graph with n=5 "
+            "(dimension=5 g2=4 oracle_nullity=4 graph6=Ds_)",
+            "dimension 5 - g2 3 != expected gap 1 on a graph with n=3 "
+            "(dimension=5 g2=3 oracle_nullity=4 graph6=B_)",
+            "dimension 5 - g2 3 != expected gap 1 on a graph with n=3 "
+            "(dimension=5 g2=3 oracle_nullity=4 graph6=B_)",
+        ]),
+        ids=["analyze", "verify", "analyze-components", "verify-components"],
+    )
+    def test_dimension_fault(self, capsys, monkeypatch, argv, err):
+        real = cli.analyze
+        monkeypatch.setattr(
+            cli, "analyze", lambda g: (a := real(g))._replace(dimension=a.dimension + 1)
+        )
+        assert run_capture(capsys, argv) == (4, "", f"internal consistency failure: {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        zip(ORACLE_COMMANDS, [
+            "oracle nullity 99 != dimension 4 (dimension=4 g2=4 oracle_nullity=99 graph6=Ds_)",
+            "oracle nullity 99 != dimension 4 (dimension=4 g2=3 oracle_nullity=99 graph6=B_)",
+            "oracle nullity 99 != dimension 4 (dimension=4 g2=3 oracle_nullity=99 graph6=B_)",
+        ]),
+        ids=["verify", "analyze-components", "verify-components"],
+    )
+    def test_oracle_fault(self, capsys, monkeypatch, argv, err):
+        monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g: 99)
+        assert run_capture(capsys, argv) == (4, "", f"internal consistency failure: {err}\n")
+
+    def test_library_raises_the_cli_text(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g: 99)
+        code, _, err = run_capture(capsys, ["verify", "--family", "star", "--n", "5"])
+        with pytest.raises(ConsistencyError) as caught:
+            check_equivalence(generate("star", 5), with_oracle=True)
+        assert (code, err) == (4, f"internal consistency failure: {caught.value}\n")
+        assert str(caught.value) == (
+            "oracle nullity 99 != dimension 4 (dimension=4 g2=4 oracle_nullity=99 graph6=Ds_)"
+        )
+
+    def test_selftest_stops_at_the_first_oracle_fault(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g: 99)
+        assert run_capture(capsys, ["selftest"]) == (
+            4,
+            "",
+            "internal consistency failure: oracle nullity 99 != dimension 3 "
+            "(dimension=3 g2=2 oracle_nullity=99 graph6=A_)\n",
+        )
 
 
 class TestEnumerate:
@@ -398,6 +462,55 @@ class TestCeilings:
         assert code == 0 and "oracle_agrees: yes" in out
 
 
+class TestCapsBeforeGenerate:
+    """A command's size cap refuses a --family input before its graph is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_generate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("family graph built despite the cap")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            (["verify", "--family", "complete", "--n", "15"], 3,
+             "constraint violation: oracle cap is n=14, got n=15\n"),
+            (["verify", "--family", "complete", "--n", "21", "--oracle-max-n", "20"], 3,
+             "constraint violation: oracle cap is n=20, got n=21\n"),
+            (["enumerate", "--family", "complete", "--n", "29"], 3,
+             "constraint violation: enumeration cap is n=28, got n=29\n"),
+            (["enumerate", "--family", "complete", "--n", "2000", "--mode", "brute"], 3,
+             "constraint violation: enumeration cap is n=28, got n=2000\n"),
+            # Usage and family errors keep their precedence over the cap.
+            (["enumerate", "--family", "gnp", "--n", "40"], 1,
+             "usage error: family gnp requires --p\n"),
+            (["verify", "--family", "path", "--n", "40", "--p", "0.5"], 1,
+             "usage error: --p only applies to family gnp, not path\n"),
+            (["enumerate", "--family", "gnp", "--n", "40", "--p", "1.5"], 3,
+             "constraint violation: gnp needs a probability p in [0, 1], got 1.5\n"),
+            (["verify", "--family", "star", "--n", "70000"], 3,
+             "constraint violation: family 'star' caps at n=65536, got n=70000\n"),
+        ],
+        ids=["verify-15", "verify-21", "enumerate-29", "enumerate-2000", "gnp-without-p",
+             "p-on-path", "gnp-bad-p", "family-ceiling"],
+    )
+    def test_refused_before_generate(self, capsys, argv, code, err):
+        assert run_capture(capsys, argv) == (code, "", err)
+
+    def test_parsed_inputs_are_capped_once_loaded(self, capsys, tmp_path):
+        path = tmp_path / "p29.col"
+        path.write_text(encode_edge_list(generate("path", 29)))
+        assert run_capture(capsys, ["enumerate", "--file", str(path)]) == (
+            3, "", "constraint violation: enumeration cap is n=28, got n=29\n"
+        )
+        p15 = encode_graph6(generate("path", 15))
+        assert run_capture(capsys, ["verify", "--graph6", p15]) == (
+            3, "", "constraint violation: oracle cap is n=14, got n=15\n"
+        )
+
+
 class TestConnectivityPasses:
     @pytest.mark.parametrize(
         "argv",
@@ -483,12 +596,54 @@ class TestEdgeListCeiling:
         assert err.startswith("constraint violation: line 1: edge lists cap at n=65536")
 
 
+class TestByteOrderMark:
+    """One leading U+FEFF in a --file edge list is dropped; anywhere else it is text."""
+
+    CANONICAL = encode_edge_list(generate("gnp", 12, 0.4, seed=3))
+    LOOSE = "c not the canonical layout\n" + CANONICAL.replace(" ", "  ")
+
+    @staticmethod
+    def machine_report(capsys, tmp_path, data: bytes):
+        path = tmp_path / "input.col"
+        path.write_bytes(data)
+        return run_capture(capsys, ["analyze", "--file", str(path), "--format", "machine"])
+
+    @pytest.mark.parametrize("text", [CANONICAL, LOOSE], ids=["canonical", "loose"])
+    def test_leading_mark_gives_the_same_report(self, capsys, tmp_path, text):
+        plain = self.machine_report(capsys, tmp_path, text.encode())
+        marked = self.machine_report(capsys, tmp_path, b"\xef\xbb\xbf" + text.encode())
+        assert plain[0] == 0 and json.loads(plain[1])["n"] == 12
+        assert marked == plain
+
+    @pytest.mark.parametrize(
+        "text,err",
+        [
+            ("\ufeff\ufeffp edge 2 1\ne 1 2\n", "line 1: unknown line type '\\ufeffp'"),
+            ("p edge 2 1\n\ufeffe 1 2\n", "line 2: unknown line type '\\ufeffe'"),
+        ],
+        ids=["second-mark", "later-line"],
+    )
+    def test_mark_elsewhere_is_a_parse_error(self, capsys, tmp_path, text, err):
+        assert self.machine_report(capsys, tmp_path, text.encode()) == (
+            2, "", f"parse error: {err}\n"
+        )
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         code, out, _ = run_capture(capsys, ["selftest"])
         assert code == 0
         assert "FAIL" not in out
         assert out.count("ok - ") >= 8
+
+    def test_a_failed_check_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "detect_configurations", lambda g: [])
+        code, out, err = run_capture(capsys, ["selftest"])
+        assert (code, err) == (4, "")
+        assert [line for line in out.splitlines() if not line.startswith("ok - ")] == [
+            "FAIL - 2-qubit generators are X(0)-Z(1), X(1)-Z(0), Y(0)-Y(1)"
+        ]
+        assert out.count("ok - ") == 8
 
 
 class TestErrors:
@@ -535,6 +690,11 @@ class TestErrors:
         code, out, err = run_capture(capsys, ["analyze", "--file", str(undecodable)])
         assert (code, out) == (2, "")
         assert err.startswith("parse error: cannot read")
+
+    def test_unknown_report_mode(self):
+        g = generate("star", 3)
+        with pytest.raises(ValueError, match=r"^unknown report mode 'json'$"):
+            format_report(g, analyze(g), None, "family star(n=3)", False, mode="json")
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

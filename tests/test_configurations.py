@@ -75,6 +75,10 @@ class TestLieGenerator:
     def test_rendering(self):
         assert str(SlotPair((1, "X"), (2, "X"))) == "X(1)-X(2)"
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match=r"^unknown configuration kind 'bogus'$"):
+            lie_generator(Configuration("bogus", 0, 1))
+
 
 class TestDimension:
     def test_k2_is_3(self):

@@ -179,14 +179,25 @@ class TestLowWeight:
         g = generate("path", 30)
         assert low_weight_elements(g, "brute") == low_weight_elements(g, "fast")
 
-    @pytest.mark.parametrize("mode", ["brute", "fast"])
-    def test_weight_below_two_on_connected_graph_raises(self, monkeypatch, mode):
+    @pytest.mark.parametrize(
+        "mode,g,vector",
+        [
+            ("brute", generate("path", 3), "100"),
+            ("fast", generate("path", 3), "100"),
+            # Vertex 0 is isolated, so its weight-1 generator passes; vertex 1's does not.
+            ("brute", Graph.from_edges(3, [(1, 2)]), "010"),
+        ],
+        ids=["brute", "fast", "brute-disconnected"],
+    )
+    def test_weight_below_two_names_its_exponent_vector(self, monkeypatch, mode, g, vector):
         # Both modes share the tail that builds the elements and checks them.
         monkeypatch.setattr(pauli, "element", lambda g, e: PauliString.single(3, 0, "X"))
         with pytest.raises(
-            ConsistencyError, match=r"^weight-1 stabilizer element \+XII on a connected graph$"
+            ConsistencyError,
+            match=rf"^weight-1 stabilizer element \+XII from exponent vector {vector}, "
+            r"which is not one isolated vertex$",
         ):
-            low_weight_elements(generate("path", 3), mode)
+            low_weight_elements(g, mode)
 
     def test_isolated_vertex_gives_weight_one_without_error(self):
         got = low_weight_elements(Graph.from_edges(3, [(0, 1)]), "brute")

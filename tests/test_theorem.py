@@ -82,11 +82,24 @@ class TestBoundaryGap:
         assert theorem.boundary_gap(generate("path", 3)) == 0
         assert theorem.boundary_gap(Graph.from_edges(7, [(0, 1), (2, 3), (4, 5), (5, 6)])) == 2
 
-    def test_check_gap_passes_the_boundary_only(self):
+    def test_check_routes_passes_the_boundary_only(self):
         k2 = generate("complete", 2)
-        theorem.check_gap(k2, 3, 2, None)
+        theorem.check_routes(k2, 3, 2, None)
+        theorem.check_routes(k2, 3, 2, 3)
         with pytest.raises(ConsistencyError, match=r"^dimension 3 - g2 3 != expected gap 1 "):
-            theorem.check_gap(k2, 3, 3, 3)
+            theorem.check_routes(k2, 3, 3, 3)
+
+    def test_check_routes_gates_the_oracle_after_the_gap(self):
+        k2 = generate("complete", 2)
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^oracle nullity 2 != dimension 3 "
+            r"\(dimension=3 g2=2 oracle_nullity=2 graph6=A_\)$",
+        ):
+            theorem.check_routes(k2, 3, 2, 2)
+        # A run that breaks both rules names the gap.
+        with pytest.raises(ConsistencyError, match=r"^dimension 3 - g2 3 != expected gap 1 "):
+            theorem.check_routes(k2, 3, 3, 2)
 
 
 class TestReproduction:
