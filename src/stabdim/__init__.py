@@ -24,7 +24,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .oracle import CoefficientVector, local_algebra_nullity, nullspace_basis
+from .oracle import local_algebra_nullity
 from .pauli import PauliString, g2_rank, low_weight_elements
 from .theorem import EquivalenceReport, check_equivalence
 
@@ -34,7 +34,6 @@ __all__ = [
     "CLOSED_TWIN",
     "LEAF",
     "TWIN",
-    "CoefficientVector",
     "Configuration",
     "ConsistencyError",
     "ConstraintError",
@@ -50,7 +49,6 @@ __all__ = [
     "generate",
     "local_algebra_nullity",
     "low_weight_elements",
-    "nullspace_basis",
     "parse_edge_list",
     "parse_graph6",
     "stabilizer_dimension",

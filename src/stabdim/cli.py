@@ -45,8 +45,9 @@ from .theorem import check_equivalence, check_routes, graph6_detail
 
 # --oracle-max-n defaults to DEFAULT_ORACLE_CAP, the largest n --components also
 # runs the oracle for, and stops at oracle.ORACLE_CEILING, checked before the
-# input is read. BRUTE_MAX_N, checked once the input is loaded, is contract:
-# brute enumeration costs only O(n**2) row XORs.
+# input is read. _load_graph checks that cap and BRUTE_MAX_N as soon as n is
+# known, so a --family input is refused before generate builds it. BRUTE_MAX_N
+# is contract: brute enumeration costs only O(n**2) row XORs.
 DEFAULT_ORACLE_CAP = 14
 BRUTE_MAX_N = 28
 
@@ -135,6 +136,8 @@ def _load_graph(args, cap: tuple[str, int] | None = None) -> tuple[Graph, str]:
     if len(chosen) != 1:
         raise UsageError("exactly one input source required: --file, --graph6, or --family")
     kind = chosen[0]
+    if kind != "family" and (args.n is not None or args.p is not None):
+        raise UsageError("--n and --p only apply to --family")
     if kind == "file":
         try:
             with open(args.file, encoding="utf-8") as handle:

@@ -8,8 +8,10 @@ class GraphParseError(ValueError):
 class ConstraintError(ValueError):
     """An input violates an operation's preconditions.
 
-    Covers disconnected inputs handed to connectivity-only operations and
-    size caps on the enumeration and statevector routines.
+    Covers disconnected inputs handed to connectivity-only operations, n and
+    p outside what a family or the fast path accepts, and the size caps: the
+    edge-list and family n ceiling, graph6's one-byte size form, the oracle's
+    ``ORACLE_CEILING``, and the CLI's oracle and brute caps.
     """
 
 

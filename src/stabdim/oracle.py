@@ -15,10 +15,10 @@ big-int operations from the graph's edges, never amplitude by amplitude:
 v0 is the XOR over edges (u, v) of the masks "bits u and v of y are set",
 Z_a flips the signs where bit a of y is set, and X_a swaps the blocks of
 2**a amplitudes that differ in bit a. Every Gram inner product is then one
-XOR plus a popcount. The rank and nullspace are read off the two small Gram
-blocks G = A^T A (real columns and imaginary columns never mix), using
-fraction-free Bareiss elimination on integers; rank(A^T A) = rank(A) holds
-exactly over the rationals.
+XOR plus a popcount. The rank is read off the two small Gram blocks
+G = A^T A (real columns and imaginary columns never mix), using fraction-free
+Bareiss elimination on integers; rank(A^T A) = rank(A) holds exactly over
+the rationals, and the nullity is 3n+1 minus that rank.
 
 Both routes cost 2**n time and memory, so each refuses n > ``ORACLE_CEILING``,
 a limit no caller can raise.
@@ -42,13 +42,6 @@ ORACLE_CEILING = 20
 
 class ExactStateVector(namedtuple("ExactStateVector", "n re im")):
     """2**n Gaussian-integer amplitudes, stored as parallel re/im tuples."""
-
-    __slots__ = ()
-
-
-class CoefficientVector(namedtuple("CoefficientVector", "theta t")):
-    """One solution (theta, per-vertex (t_x, t_y, t_z)) of the stabilization
-    system, every entry a Fraction."""
 
     __slots__ = ()
 
@@ -99,60 +92,27 @@ def apply_pauli(p, v: ExactStateVector) -> ExactStateVector:
     return ExactStateVector(v.n, tuple(re), tuple(im))
 
 
-def bareiss_echelon(rows) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free integer row echelon; returns (echelon rows, pivot columns)."""
+def matrix_rank(rows) -> int:
+    """Exact rank over the rationals of an integer matrix, by fraction-free
+    Bareiss elimination (every division is exact)."""
     m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivot_cols = []
+    nrows = len(m)
     prev = 1
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        lead = m[r][c]
-        row_r = m[r]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            head = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = (lead * row_i[j] - head * row_r[j]) // prev
-            row_i[c] = 0
+        lead, tail = m[r][c], m[r][c + 1:]
+        for row in m[r + 1:]:
+            head = row[c]
+            row[c + 1:] = [(lead * x - head * y) // prev for x, y in zip(row[c + 1:], tail)]
         prev = lead
-        pivot_cols.append(c)
         r += 1
         if r == nrows:
             break
-    return m[:r], pivot_cols
-
-
-def matrix_rank(rows) -> int:
-    """Exact rank over the rationals of an integer matrix."""
-    return len(bareiss_echelon(rows)[1])
-
-
-def _nullspace(rows, ncols: int) -> list[list]:
-    """Rational nullspace basis, one vector of Fractions per free column, free
-    column set to 1."""
-    from fractions import Fraction
-
-    echelon, pivot_cols = bareiss_echelon(rows)
-    pivots = set(pivot_cols)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i in reversed(range(len(pivot_cols))):
-            c = pivot_cols[i]
-            acc = sum((echelon[i][j] * vec[j] for j in range(c + 1, ncols)), Fraction(0))
-            vec[c] = -acc / echelon[i][c]
-        basis.append(vec)
-    return basis
+    return r
 
 
 def _bit_pattern(n: int, a: int) -> int:
@@ -205,21 +165,3 @@ def local_algebra_nullity(g: Graph) -> int:
     real_block, imag_block = _gram_blocks(g)
     rank = matrix_rank(real_block) + matrix_rank(imag_block)
     return (3 * g.n + 1) - rank
-
-
-def nullspace_basis(g: Graph) -> list[CoefficientVector]:
-    """Exact rational basis of the stabilization solution space."""
-    from fractions import Fraction
-
-    n = g.n
-    real_block, imag_block = _gram_blocks(g)
-    zero = Fraction(0)
-    basis = []
-    # Real-block solutions carry theta, t_x, t_z in column order [theta, X_0.., Z_0..].
-    for vec in _nullspace(real_block, 2 * n + 1):
-        t = tuple((vec[1 + a], zero, vec[1 + n + a]) for a in range(n))
-        basis.append(CoefficientVector(vec[0], t))
-    for vec in _nullspace(imag_block, n):
-        t = tuple((zero, vec[a], zero) for a in range(n))
-        basis.append(CoefficientVector(zero, t))
-    return basis

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -20,12 +21,17 @@ from stabdim.configurations import (
 from stabdim.errors import ConstraintError
 from stabdim.graphs import Graph, bit_indices, connected_components, generate, is_connected
 from stabdim.oracle import (
-    CoefficientVector,
     _bit_pattern,
+    _gram_blocks,
     apply_pauli,
     build_statevector,
+    matrix_rank,
 )
 from stabdim.pauli import PauliString, g2_rank, low_weight_elements
+
+# One element theta + sum_a (t_ax X_a + t_ay Y_a + t_az Z_a) of the local
+# algebra: theta a number, t one (t_x, t_y, t_z) triple per vertex.
+Coefficients = namedtuple("Coefficients", "theta t")
 
 _PAIR_CACHE: dict[int, list[tuple[int, int]]] = {}
 
@@ -115,7 +121,7 @@ def rational_rank(rows) -> int:
 
 
 def coefficient_vector_row(cv) -> list[Fraction]:
-    """Flatten a CoefficientVector to [theta, t_0x, t_0y, t_0z, t_1x, ...]."""
+    """Flatten a ``Coefficients`` record to [theta, t_0x, t_0y, t_0z, t_1x, ...]."""
     row = [cv.theta]
     for triple in cv.t:
         row.extend(triple)
@@ -213,6 +219,14 @@ def _sign_mask(values) -> int:
         if a < 0:
             mask |= 1 << y
     return mask
+
+
+def theta_is_zero(g: Graph) -> bool:
+    """True iff theta = 0 in every solution of the stabilization system: the
+    theta column v0 lies outside the span of the X_a and Z_a columns, so
+    dropping it from the oracle's real Gram block lowers the rank by one."""
+    real, _ = _gram_blocks(g)
+    return matrix_rank(real) == matrix_rank([r[1:] for r in real[1:]]) + 1
 
 
 def reference_gram_blocks(g: Graph):
@@ -344,14 +358,14 @@ def corresponding_stabilizer_element(c: Configuration, n: int) -> PauliString:
     raise ValueError(f"unknown configuration kind {c.kind!r}")
 
 
-def slot_coefficient_vector(pair: SlotPair, n: int) -> CoefficientVector:
+def slot_coefficient_vector(pair: SlotPair, n: int) -> Coefficients:
     """Embed O_p - O_q into the (theta, t) coefficient space of the oracle."""
     axis_index = {"X": 0, "Y": 1, "Z": 2}
     t = [[Fraction(0)] * 3 for _ in range(n)]
     (va, axa), (vb, axb) = pair.p, pair.q
     t[va][axis_index[axa]] += 1
     t[vb][axis_index[axb]] -= 1
-    return CoefficientVector(Fraction(0), tuple(tuple(row) for row in t))
+    return Coefficients(Fraction(0), tuple(tuple(row) for row in t))
 
 
 def check_support_pairs(g: Graph) -> bool:

@@ -431,6 +431,13 @@ class TestGen:
             (["analyze", "--family", "gnp", "--n", "4"], "family gnp requires --p"),
             (["analyze", "--family", "path", "--n", "4", "--p", "0.5"],
              "--p only applies to family gnp, not path"),
+            (["analyze", "--graph6", "A_", "--n", "7"], "--n and --p only apply to --family"),
+            (["verify", "--graph6", "A_", "--p", "0.5"], "--n and --p only apply to --family"),
+            # Refused before the (missing) file is read.
+            (["enumerate", "--file", "missing.col", "--n", "7", "--p", "0.5"],
+             "--n and --p only apply to --family"),
+            (["analyze", "--graph6", "A_", "--file", "x", "--n", "7"],
+             "exactly one input source required: --file, --graph6, or --family"),
         ],
     )
     def test_family_validation_messages(self, capsys, argv, message):

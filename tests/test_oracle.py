@@ -1,4 +1,4 @@
-"""Exact statevector oracle: amplitudes, Pauli action, rank, and nullspace."""
+"""Exact statevector oracle: amplitudes, Pauli action, rank, and nullity."""
 
 from fractions import Fraction
 
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Coefficients,
     all_labeled_graphs,
     annihilates,
     coefficient_vector_row,
@@ -20,19 +21,17 @@ from helpers import (
     reference_gram_blocks,
     sign_mask_state,
     slot_coefficient_vector,
+    theta_is_zero,
 )
 from stabdim.configurations import analyze, detect_configurations, lie_generator
 from stabdim.errors import ConstraintError
 from stabdim.graphs import Graph, generate
 from stabdim.oracle import (
-    CoefficientVector,
     _gram_blocks,
     apply_pauli,
-    bareiss_echelon,
     build_statevector,
     local_algebra_nullity,
     matrix_rank,
-    nullspace_basis,
 )
 from stabdim.pauli import PauliString, element
 
@@ -124,10 +123,6 @@ class TestEliminaton:
         assert matrix_rank([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 2
         assert matrix_rank([]) == 0
 
-    def test_echelon_pivots(self):
-        _, pivots = bareiss_echelon([[0, 1, 2], [0, 2, 4], [0, 0, 5]])
-        assert pivots == [1, 2]
-
     @given(
         st.lists(
             st.lists(st.integers(-6, 6), min_size=5, max_size=5), min_size=1, max_size=7
@@ -162,35 +157,10 @@ class TestNullity:
 
 
 class TestNullspace:
-    def test_k2_basis(self):
-        g = generate("complete", 2)
-        basis = nullspace_basis(g)
-        assert len(basis) == 3
-        v = build_statevector(g)
-        for cv in basis:
-            assert cv.theta == 0
-            assert annihilates(cv, v)
-        expected = [
-            slot_coefficient_vector(lie_generator(c), 2) for c in detect_configurations(g)
-        ]
-        got_rows = [coefficient_vector_row(cv) for cv in basis]
-        exp_rows = [coefficient_vector_row(cv) for cv in expected]
-        assert rational_rank(got_rows) == 3
-        assert rational_rank(exp_rows) == 3
-        assert rational_rank(got_rows + exp_rows) == 3
-
-    def test_c5_empty(self):
-        assert nullspace_basis(generate("cycle", 5)) == []
-
     @given(connected_graphs_strategy(min_n=2, max_n=7))
     @settings(max_examples=30, deadline=None)
-    def test_basis_annihilates_with_zero_theta(self, g):
-        v = build_statevector(g)
-        basis = nullspace_basis(g)
-        assert len(basis) == local_algebra_nullity(g)
-        for cv in basis:
-            assert cv.theta == 0
-            assert annihilates(cv, v)
+    def test_theta_is_zero_on_connected_graphs(self, g):
+        assert theta_is_zero(g)
 
     @given(connected_graphs_strategy(min_n=2, max_n=7))
     @settings(max_examples=30, deadline=None)
@@ -204,13 +174,13 @@ class TestNullspace:
         assert rational_rank(rows) == local_algebra_nullity(g)
 
     def test_single_vertex_allows_nonzero_theta(self):
+        # |+> is fixed by X, so X - 1 annihilates it: dropping the theta
+        # column leaves the rank equal, not one less.
         g = Graph.from_edges(1, [])
-        basis = nullspace_basis(g)
+        real, _ = _gram_blocks(g)
         assert local_algebra_nullity(g) == 1
-        assert len(basis) == 1
-        cv = basis[0]
-        assert cv.theta == -cv.t[0][0]
-        assert annihilates(cv, build_statevector(g))
+        assert matrix_rank(real) == matrix_rank([r[1:] for r in real[1:]]) == 2
+        assert annihilates(Coefficients(-1, ((1, 0, 0),)), build_statevector(g))
 
 
 class TestAlgebraAction:
@@ -219,7 +189,7 @@ class TestAlgebraAction:
         v = build_statevector(g)
         tx = tuple((Fraction(1), Fraction(0), Fraction(0)) if a == 0 else
                    (Fraction(0), Fraction(0), Fraction(0)) for a in range(5))
-        assert not annihilates(CoefficientVector(Fraction(0), tx), v)
+        assert not annihilates(Coefficients(Fraction(0), tx), v)
 
 
 class TestGramBlocks:
