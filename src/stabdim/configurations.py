@@ -20,6 +20,9 @@ TWIN = "twin"
 LEAF = "leaf"
 CLOSED_TWIN = "closed_twin"
 
+# The axes of O_p and O_q in each kind's generator O_p - O_q.
+AXES = {TWIN: ("X", "X"), LEAF: ("X", "Z"), CLOSED_TWIN: ("Y", "Y")}
+
 
 class Configuration(namedtuple("Configuration", "kind a b")):
     """One detected instance; for leaf, ``a`` is the degree-1 vertex."""
@@ -101,13 +104,10 @@ def detect_configurations(g: Graph) -> list[Configuration]:
 
 def lie_generator(c: Configuration) -> SlotPair:
     """The stabilizing algebra generator a configuration contributes."""
-    if c.kind == TWIN:
-        return SlotPair((c.a, "X"), (c.b, "X"))
-    if c.kind == LEAF:
-        return SlotPair((c.a, "X"), (c.b, "Z"))
-    if c.kind == CLOSED_TWIN:
-        return SlotPair((c.a, "Y"), (c.b, "Y"))
-    raise ValueError(f"unknown configuration kind {c.kind!r}")
+    if c.kind not in AXES:
+        raise ValueError(f"unknown configuration kind {c.kind!r}")
+    p, q = AXES[c.kind]
+    return SlotPair((c.a, p), (c.b, q))
 
 
 def exponent_vector(c: Configuration) -> int:

@@ -116,10 +116,6 @@ class Graph(namedtuple("Graph", "n adj")):
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def relabel(self, perm) -> "Graph":
-        """Apply a vertex permutation: vertex v becomes perm[v]."""
-        return Graph.from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
-
     def induced_subgraph(self, vertices) -> "Graph":
         """Subgraph on ``vertices``, relabeled 0..k-1 in the given order."""
         index = {v: i for i, v in enumerate(vertices)}
@@ -422,7 +418,8 @@ def generate(family: str, n: int, p: float | None = None, seed: int = 0) -> Grap
     path = 0-1-...-(n-1); cycle = path plus (n-1, 0); star = center 0 joined
     to all others; complete = all pairs; tree = uniform random labeled tree;
     gnp = each pair kept independently with probability p. ``check_family``
-    runs first, so its refusals come before any edge is built.
+    runs first, so its refusals come before any edge is built. complete and
+    gnp stream their edges into ``Graph.from_edges``: no edge list is held.
     """
     check_family(family, n, p)
     if family == "path":
@@ -432,16 +429,11 @@ def generate(family: str, n: int, p: float | None = None, seed: int = 0) -> Grap
     elif family == "star":
         edges = [(0, i) for i in range(1, n)]
     elif family == "complete":
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = ((u, v) for u in range(n) for v in range(u + 1, n))
     elif family == "tree":
         edges = _random_tree_edges(n, XorShift64Star(seed))
     else:  # gnp
         rng = XorShift64Star(seed)
         threshold = int(p * 2**64)
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.next_u64() < threshold
-        ]
+        edges = ((u, v) for u in range(n) for v in range(u + 1, n) if rng.next_u64() < threshold)
     return Graph.from_edges(n, edges)

@@ -17,12 +17,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 # g2_rank lives next to slot_span_rank; stabdim.g2_rank and theorem import it from here.
-from .configurations import analyze, exponent_vector, g2_rank
-from .errors import ConsistencyError, ConstraintError
+from .configurations import detect_configurations, exponent_vector, g2_rank
+from .errors import ConsistencyError
 from .graphs import Graph, bit_indices
 
 _SIGNS = ("+", "+i", "-", "-i")
-_AXIS_BITS = {"X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 # Letter of one qubit, indexed by x_bit | z_bit << 1.
 _LETTERS = "IXZY"
 
@@ -38,16 +37,6 @@ class PauliString(namedtuple("PauliString", "n x z phase_exp")):
 
     # ``_replace`` builds through ``_make``, so it runs the checks too.
     _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0, 0)
-
-    @classmethod
-    def single(cls, n: int, qubit: int, axis: str) -> "PauliString":
-        """The one-qubit operator ``axis`` in {X, Y, Z} acting on ``qubit``."""
-        xb, zb, phase = _AXIS_BITS[axis]
-        return cls(n, xb << qubit, zb << qubit, phase)
 
     def support(self) -> int:
         """Bit vector of qubits acted on non-trivially."""
@@ -92,23 +81,21 @@ def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliS
     ``brute`` works for any graph and reads ``g.adj`` only: the X part of a
     product of generators is its exponent vector, so it tests the n singles
     and n(n-1)/2 pairs of generators, O(n**2) row XORs, and nothing that
-    groups vertices into classes. ``fast`` needs a connected graph on >= 2
-    vertices and maps each configuration of ``analyze(g)`` to its exponent
-    vector, O(n + m + output) row operations, each O(n/w) words on n-bit rows
-    (see ROADMAP item 3). The modes differ only in how they pick the exponent
-    vectors and return identical lists, so comparing them checks the
-    configuration detector. Both build each element with ``element(g, e)``
-    from the adjacency rows alone. Only an isolated vertex's generator has
-    weight < 2, so any other such element raises ConsistencyError, on a
-    connected graph or not. Neither mode limits n.
+    groups vertices into classes. ``fast`` maps each configuration of
+    ``detect_configurations(g)`` to its exponent vector, so it refuses what
+    that refuses (a disconnected graph or n < 2); it takes O(n + m + output)
+    row operations, each O(n/w) words on n-bit rows (see ROADMAP item 3).
+    The modes differ only in how they pick the exponent vectors and return
+    identical lists, so comparing them checks the configuration detector.
+    Both build each element with ``element(g, e)`` from the adjacency rows
+    alone. Only an isolated vertex's generator has weight < 2, so any other
+    such element raises ConsistencyError, on a connected graph or not.
+    Neither mode limits n.
     """
     if mode == "brute":
         exponents = _brute_exponents(g.adj)
     elif mode == "fast":
-        a = analyze(g)
-        if a.n < 2 or not a.connected:
-            raise ConstraintError("fast enumeration needs a connected graph on >= 2 vertices")
-        exponents = [exponent_vector(c) for c in a.configurations]
+        exponents = [exponent_vector(c) for c in detect_configurations(g)]
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'brute' or 'fast'")
     out = [(e, element(g, e)) for e in sorted(exponents)]

@@ -19,10 +19,8 @@ from .graphs import GRAPH6_MAX_N, Graph, encode_graph6
 from .pauli import g2_rank, low_weight_elements
 
 
-class EquivalenceReport(
-    namedtuple("EquivalenceReport", "n dimension g2 oracle_nullity holds oracle_agrees")
-):
-    """Each route's value on one graph; oracle fields are None unless it ran, else they agree."""
+class EquivalenceReport(namedtuple("EquivalenceReport", "n dimension g2 oracle_nullity holds")):
+    """Each route's value on one graph; ``oracle_nullity`` is None unless the oracle ran."""
 
     __slots__ = ()
 
@@ -65,8 +63,7 @@ def check_equivalence(
         g2 = g2_rank(e for e, _ in low_weight_elements(g, mode=element_mode))
     nullity = oracle.local_algebra_nullity(g) if with_oracle else None
     check_routes(g, a.dimension, g2, nullity)
-    agrees = None if nullity is None else nullity == a.dimension
-    return EquivalenceReport(g.n, a.dimension, g2, nullity, a.dimension == g2, agrees)
+    return EquivalenceReport(g.n, a.dimension, g2, nullity, a.dimension == g2)
 
 
 def reproduction(g: Graph, dimension: int, g2: int, nullity: int | None) -> str:

@@ -183,6 +183,11 @@ def reference_analysis(g: Graph) -> tuple[list[Configuration], int, int]:
     return configs, dimension, g2
 
 
+def relabel(g: Graph, perm) -> Graph:
+    """Apply a vertex permutation: vertex v becomes perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def local_complement(g: Graph, v: int) -> Graph:
     """Graph with the edges among the neighbours of v toggled (local complementation at v)."""
     nbrs = g.adj[v]
@@ -199,7 +204,7 @@ def algebra_action(cv, v):
         for coeff, axis in ((tx, "X"), (ty, "Y"), (tz, "Z")):
             if coeff == 0:
                 continue
-            w = apply_pauli(PauliString.single(v.n, a, axis), v)
+            w = apply_pauli(single(v.n, a, axis), v)
             for y in range(size):
                 acc_re[y] += coeff * w.re[y]
                 acc_im[y] += coeff * w.im[y]
@@ -237,10 +242,10 @@ def reference_gram_blocks(g: Graph):
     imag_masks = []
     for axis in ("X", "Z"):
         for a in range(g.n):
-            col = apply_pauli(PauliString.single(g.n, a, axis), v0)
+            col = apply_pauli(single(g.n, a, axis), v0)
             real_masks.append(_sign_mask(col.re))
     for a in range(g.n):
-        col = apply_pauli(PauliString.single(g.n, a, "Y"), v0)
+        col = apply_pauli(single(g.n, a, "Y"), v0)
         imag_masks.append(_sign_mask(col.im))
 
     def gram(masks):
@@ -314,6 +319,19 @@ def reference_brute_exponents(g: Graph) -> list[int]:
     return hits
 
 
+_AXIS_BITS = {"X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
+
+
+def identity(n: int) -> PauliString:
+    return PauliString(n, 0, 0, 0)
+
+
+def single(n: int, qubit: int, axis: str) -> PauliString:
+    """The one-qubit operator ``axis`` in {X, Y, Z} acting on ``qubit``."""
+    xb, zb, phase = _AXIS_BITS[axis]
+    return PauliString(n, xb << qubit, zb << qubit, phase)
+
+
 def multiply(p: PauliString, q: PauliString) -> PauliString:
     """Exact operator product p*q.
 
@@ -334,7 +352,7 @@ def graph_generators(g: Graph) -> list[PauliString]:
 def reference_element(gens: list[PauliString], exponents: int) -> PauliString:
     """Product of ``gens[i]`` over the set bits of ``exponents`` as a chain of
     ``multiply`` calls from the identity, one PauliString per factor."""
-    out = PauliString.identity(gens[0].n if gens else 0)
+    out = identity(gens[0].n if gens else 0)
     for i in bit_indices(exponents):
         out = multiply(out, gens[i])
     return out

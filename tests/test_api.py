@@ -13,6 +13,7 @@ import typing
 import pytest
 
 import stabdim
+from helpers import identity
 from stabdim import (
     Graph,
     PauliString,
@@ -86,6 +87,10 @@ def test_every_exported_record_is_covered():
     assert {type(r).__name__ for r in _records()} == exported
 
 
+def test_equivalence_report_fields():
+    assert stabdim.EquivalenceReport._fields == ("n", "dimension", "g2", "oracle_nullity", "holds")
+
+
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_records_are_immutable_named_tuples(record):
     field = record._fields[0]
@@ -111,7 +116,7 @@ def test_records_are_immutable_named_tuples(record):
          r"adjacency not symmetric at \(1, 2\)"),
         (lambda: PauliString(2, 0b100, 0), "x/z bits beyond qubit 1"),
         (lambda: PauliString(2, 0, 0b100), "x/z bits beyond qubit 1"),
-        (lambda: PauliString.identity(1)._replace(z=0b10), "x/z bits beyond qubit 0"),
+        (lambda: identity(1)._replace(z=0b10), "x/z bits beyond qubit 0"),
     ],
 )
 def test_invalid_graph_and_pauli_input_raises(build, message):

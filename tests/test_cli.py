@@ -397,6 +397,27 @@ class TestEnumerate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "mode,graph6,message",
+        [
+            ("fast", "C?", "graph is disconnected; analyze per component instead"),
+            ("fast", "@", "need n >= 2, got n=1"),
+            ("both", "C?", "graph is disconnected; analyze per component instead"),
+        ],
+    )
+    def test_fast_refuses_what_detection_refuses(self, capsys, monkeypatch, mode, graph6, message):
+        calls = []
+        real = cli.low_weight_elements
+
+        def spy(g, mode):
+            calls.append(mode)
+            return real(g, mode=mode)
+
+        monkeypatch.setattr(cli, "low_weight_elements", spy)
+        code, out, err = run_capture(capsys, ["enumerate", "--mode", mode, "--graph6", graph6])
+        assert (code, out, err) == (3, "", f"constraint violation: {message}\n")
+        assert calls == (["brute", "fast"] if mode == "both" else ["fast"])
+
 
 class TestGen:
     def test_graph6_round_trip(self, capsys):
@@ -718,9 +739,12 @@ class TestReportMatchesReference:
             got = cli.format_report(g, a, nullity, "graph6 G", components, mode)
             assert got == reference_report(g, a, nullity, "graph6 G", components, mode)
 
-    @given(graphs_strategy(max_n=10), st.none() | st.integers(0, 31), st.booleans())
+    @given(graphs_strategy(max_n=10), st.booleans(), st.booleans())
     @settings(max_examples=150)
-    def test_random_graphs(self, g, nullity, components):
+    def test_random_graphs(self, g, with_oracle, components):
+        # Past check_routes a given nullity is the graph's own; a wrong one exits 4
+        # before format_report runs (TestRouteFaults).
+        nullity = oracle.local_algebra_nullity(g) if with_oracle else None
         self.assert_same(g, nullity, components)
 
     @pytest.mark.parametrize(

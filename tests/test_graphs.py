@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graphs_strategy
+from helpers import graphs_strategy, relabel
 from stabdim import graphs
 from stabdim.errors import ConstraintError, GraphParseError
 from stabdim.graphs import (
@@ -229,11 +229,11 @@ class TestGraphType:
     @given(graphs_strategy(min_n=2, max_n=12), st.data())
     @settings(max_examples=60)
     def test_caller_built_rows_still_checked(self, g, data):
-        # The parsers, from_edges and relabel skip the symmetry check; their
+        # The parsers and from_edges (relabel's builder) skip the symmetry check; their
         # rows must pass it, and a caller's Graph(n, adj) is still checked.
         trusted = [
             g,
-            g.relabel(list(reversed(range(g.n)))),
+            relabel(g, list(reversed(range(g.n)))),
             parse_edge_list(encode_edge_list(g)),
             parse_graph6(encode_graph6(g)),
         ]
@@ -259,7 +259,7 @@ class TestGraphType:
 
     def test_relabel(self):
         p3 = generate("path", 3)
-        assert edges_of(p3.relabel([2, 0, 1])) == {(0, 2), (0, 1)}
+        assert edges_of(relabel(p3, [2, 0, 1])) == {(0, 2), (0, 1)}
 
     @given(graphs_strategy(max_n=8))
     def test_neighborhood_symmetry(self, g):
@@ -513,6 +513,23 @@ class TestGenerate:
             t = generate("tree", n, seed=seed)
             assert t.m == max(n - 1, 0)
             assert is_connected(t)
+
+    @pytest.mark.parametrize("family,p,seed", [("complete", None, 0), ("gnp", 0.5, 1)])
+    def test_quadratic_families_hold_no_edge_list(self, family, p, seed):
+        # An edge-tuple list for n = 300 peaks at 1.5-3 MiB; the rows alone
+        # take a few dozen KiB.
+        tracemalloc.start()
+        try:
+            g = generate(family, 300, p, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+        pairs = [(u, v) for u in range(300) for v in range(u + 1, 300)]
+        if family == "gnp":
+            rng, threshold = XorShift64Star(seed), int(p * 2**64)
+            pairs = [e for e in pairs if rng.next_u64() < threshold]
+        assert g == Graph.from_edges(300, pairs)
 
     def test_determinism(self):
         a = generate("gnp", 10, p=0.5, seed=7)

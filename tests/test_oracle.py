@@ -14,12 +14,15 @@ from helpers import (
     connected_graphs_strategy,
     graph_generators,
     graphs_strategy,
+    identity,
     is_stabilized,
     is_stabilized_by_masks,
     local_complement,
     rational_rank,
     reference_gram_blocks,
+    relabel,
     sign_mask_state,
+    single,
     slot_coefficient_vector,
     theta_is_zero,
 )
@@ -42,7 +45,7 @@ def direct_stacked_nullity(g):
     cols = [list(v0.re) + list(v0.im)]
     for axis in ("X", "Y", "Z"):
         for a in range(g.n):
-            w = apply_pauli(PauliString.single(g.n, a, axis), v0)
+            w = apply_pauli(single(g.n, a, axis), v0)
             cols.append(list(w.re) + list(w.im))
     return (3 * g.n + 1) - matrix_rank(cols)
 
@@ -73,21 +76,21 @@ class TestBuildStatevector:
 class TestApplyPauli:
     def test_identity(self):
         v = build_statevector(generate("complete", 2))
-        assert apply_pauli(PauliString.identity(2), v) == v
+        assert apply_pauli(identity(2), v) == v
 
     def test_z0_signs(self):
         v = build_statevector(generate("complete", 2))
-        w = apply_pauli(PauliString.single(2, 0, "Z"), v)
+        w = apply_pauli(single(2, 0, "Z"), v)
         assert w.re == (1, -1, 1, 1)
 
     def test_x_permutes(self):
         v = build_statevector(generate("complete", 2))
-        w = apply_pauli(PauliString.single(2, 0, "X"), v)
+        w = apply_pauli(single(2, 0, "X"), v)
         assert w.re == (1, 1, -1, 1)
 
     def test_y_is_imaginary_on_real_state(self):
         v = build_statevector(generate("complete", 2))
-        w = apply_pauli(PauliString.single(2, 0, "Y"), v)
+        w = apply_pauli(single(2, 0, "Y"), v)
         assert w.re == (0, 0, 0, 0)
         assert all(b in (-1, 1) for b in w.im)
 
@@ -99,7 +102,7 @@ class TestApplyPauli:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            apply_pauli(PauliString.identity(3), build_statevector(generate("path", 2)))
+            apply_pauli(identity(3), build_statevector(generate("path", 2)))
 
 
 class TestIsStabilized:
@@ -213,7 +216,7 @@ def stabilization_probes(g):
         if e.bit_count() <= 2:
             p = element(g, e)
             probes += [PauliString(g.n, p.x, p.z, p.phase_exp + k) for k in range(4)]
-    probes += [PauliString.single(g.n, a, axis) for a in range(g.n) for axis in "XYZ"]
+    probes += [single(g.n, a, axis) for a in range(g.n) for axis in "XYZ"]
     return probes
 
 
@@ -242,7 +245,7 @@ class TestSignMaskStabilization:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            is_stabilized_by_masks(PauliString.identity(3), sign_mask_state(generate("path", 2)))
+            is_stabilized_by_masks(identity(3), sign_mask_state(generate("path", 2)))
 
 
 class TestInvariance:
@@ -264,7 +267,7 @@ class TestInvariance:
     @settings(max_examples=40, deadline=None)
     def test_relabelling(self, g, data):
         perm = data.draw(st.permutations(range(g.n)))
-        h = g.relabel(perm)
+        h = relabel(g, perm)
         assert local_algebra_nullity(g) == local_algebra_nullity(h) == analyze(h).dimension
 
     def test_local_complement_closes_triangle(self):

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
     all_labeled_graphs,
     connected_graphs_strategy,
     graph_generators,
     graphs_strategy,
+    identity,
     is_stabilized,
     multiply,
     reference_element,
@@ -26,7 +28,7 @@ def pauli_strategy(n: int):
 
 
 def single(axis, n=1, qubit=0):
-    return PauliString.single(n, qubit, axis)
+    return helpers.single(n, qubit, axis)
 
 
 class TestMultiply:
@@ -49,7 +51,7 @@ class TestMultiply:
 
     @given(pauli_strategy(4))
     def test_identity_is_neutral(self, p):
-        eye = PauliString.identity(4)
+        eye = identity(4)
         assert multiply(eye, p) == p
         assert multiply(p, eye) == p
 
@@ -59,7 +61,7 @@ class TestMultiply:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            multiply(PauliString.identity(2), PauliString.identity(3))
+            multiply(identity(2), identity(3))
 
     def test_k2_generator_product(self):
         g0, g1 = graph_generators(generate("complete", 2))
@@ -76,7 +78,7 @@ class TestMultiply:
 
 class TestRendering:
     def test_letters_and_signs(self):
-        assert str(PauliString.identity(3)) == "+III"
+        assert str(identity(3)) == "+III"
         assert str(PauliString(2, 0b01, 0b10, 0)) == "+XZ"
         assert str(PauliString(1, 1, 1, 1)) == "+Y"
         assert str(PauliString(1, 1, 1, 3)) == "-Y"
@@ -115,7 +117,7 @@ class TestGenerators:
 
 class TestElement:
     def test_zero_exponents_gives_identity(self):
-        assert element(generate("star", 3), 0) == PauliString.identity(3)
+        assert element(generate("star", 3), 0) == identity(3)
 
     def test_k2_full_product(self):
         assert str(element(generate("complete", 2), 0b11)) == "+YY"
@@ -150,9 +152,9 @@ class TestElement:
 
 class TestSupport:
     def test_examples(self):
-        assert PauliString.identity(2).support() == 0
+        assert identity(2).support() == 0
         assert bit_indices(PauliString(2, 0b01, 0b10, 0).support()) == [0, 1]
-        assert PauliString.identity(2).weight() == 0
+        assert identity(2).weight() == 0
 
 
 class TestLowWeight:
@@ -191,7 +193,7 @@ class TestLowWeight:
     )
     def test_weight_below_two_names_its_exponent_vector(self, monkeypatch, mode, g, vector):
         # Both modes share the tail that builds the elements and checks them.
-        monkeypatch.setattr(pauli, "element", lambda g, e: PauliString.single(3, 0, "X"))
+        monkeypatch.setattr(pauli, "element", lambda g, e: single("X", 3))
         with pytest.raises(
             ConsistencyError,
             match=rf"^weight-1 stabilizer element \+XII from exponent vector {vector}, "

@@ -20,12 +20,12 @@ from stabdim.theorem import EquivalenceReport, check_equivalence
 class TestCheckEquivalence:
     def test_k2_boundary(self):
         rep = check_equivalence(generate("complete", 2))
-        assert rep == EquivalenceReport(2, 3, 2, None, False, None)
+        assert rep == EquivalenceReport(2, 3, 2, None, False)
 
     def test_star5(self):
         rep = check_equivalence(generate("star", 5), with_oracle=True)
         assert (rep.dimension, rep.g2, rep.holds) == (4, 4, True)
-        assert rep.oracle_nullity == 4 and rep.oracle_agrees
+        assert rep.oracle_nullity == rep.dimension == 4
 
     def test_c5(self):
         rep = check_equivalence(generate("cycle", 5), with_oracle=True, element_mode="brute")
@@ -168,7 +168,7 @@ class TestTripleAgreement:
     @settings(max_examples=40, deadline=None)
     def test_dimension_g2_nullity(self, g):
         rep = check_equivalence(g, with_oracle=True, element_mode="brute")
-        assert rep.holds and rep.oracle_agrees
+        assert rep.holds and rep.oracle_nullity == rep.dimension
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_exhaustive_small_graphs(self, n):
@@ -181,6 +181,6 @@ class TestTripleAgreement:
             if not is_connected(g):
                 continue
             rep = check_equivalence(g, with_oracle=True, element_mode="brute")
-            assert rep.oracle_agrees
+            assert rep.oracle_nullity == rep.dimension
             assert rep.holds == (g.n != 2)
             assert low_weight_elements(g, "brute") == low_weight_elements(g, "fast")
