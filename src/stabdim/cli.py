@@ -33,12 +33,13 @@ from .graphs import (
     encode_edge_list,
     encode_graph6,
     generate,
+    graph6_detail,
     parse_edge_list,
     parse_graph6,
 )
 from .pauli import low_weight_elements
 from .oracle import ORACLE_CEILING
-from .theorem import check_equivalence, check_routes, graph6_detail
+from .theorem import check_equivalence, check_routes
 
 # --oracle-max-n defaults to DEFAULT_ORACLE_CAP, the largest n --components also
 # runs the oracle for, and stops at oracle.ORACLE_CEILING, checked before the
@@ -215,45 +216,33 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    """Every check runs before any line is written, so exit 4 leaves stdout empty."""
     del args
-    failures = 0
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal failures
-        if ok:
-            sys.stdout.write(f"ok - {label}\n")
-        else:
-            failures += 1
-            sys.stdout.write(f"FAIL - {label}\n")
-
-    k2 = generate("complete", 2)
+    k2, star7, c5 = generate("complete", 2), generate("star", 7), generate("cycle", 5)
     rep2 = check_equivalence(k2, with_oracle=True)
-    check("2-qubit graph state has stabilizer dimension 3", rep2.dimension == 3)
-    check("2-qubit oracle nullity agrees", rep2.oracle_nullity == 3)
-    check("2-qubit boundary: g2 = 2, theorem_holds false", rep2.g2 == 2 and not rep2.holds)
-    expected = {("X", 0, "Z", 1), ("X", 1, "Z", 0), ("Y", 0, "Y", 1)}
-    got = set()
-    for c in detect_configurations(k2):
-        pair = lie_generator(c)
-        got.add((pair.p[1], pair.p[0], pair.q[1], pair.q[0]))
-    check("2-qubit generators are X(0)-Z(1), X(1)-Z(0), Y(0)-Y(1)", got == expected)
-
-    star7 = generate("star", 7)
     rep7 = check_equivalence(star7, with_oracle=True)
-    check("7-vertex star has dimension n-1 = 6", rep7.dimension == 6)
-    check("7-vertex star: oracle and g2 agree", rep7.oracle_nullity == 6 and rep7.g2 == 6)
-
-    c5 = generate("cycle", 5)
     rep5 = check_equivalence(c5, with_oracle=True, element_mode="brute")
-    check("5-cycle has dimension 0 and no weight-<=2 elements", rep5.dimension == 0 and rep5.g2 == 0)
-    check("5-cycle oracle nullity is 0", rep5.oracle_nullity == 0)
-
+    pairs = map(lie_generator, detect_configurations(k2))
+    generators = {(pair.p[1], pair.p[0], pair.q[1], pair.q[0]) for pair in pairs}
     agree = all(
         low_weight_elements(g, mode="brute") == low_weight_elements(g, mode="fast")
         for g in (k2, star7, c5, generate("path", 6), generate("complete", 5))
     )
-    check("brute and fast enumerations agree on sample graphs", agree)
-    return 4 if failures else 0
+    checks = (
+        ("2-qubit graph state has stabilizer dimension 3", rep2.dimension == 3),
+        ("2-qubit oracle nullity agrees", rep2.oracle_nullity == 3),
+        ("2-qubit boundary: g2 = 2, theorem_holds false", rep2.g2 == 2 and not rep2.holds),
+        ("2-qubit generators are X(0)-Z(1), X(1)-Z(0), Y(0)-Y(1)",
+         generators == {("X", 0, "Z", 1), ("X", 1, "Z", 0), ("Y", 0, "Y", 1)}),
+        ("7-vertex star has dimension n-1 = 6", rep7.dimension == 6),
+        ("7-vertex star: oracle and g2 agree", rep7.oracle_nullity == 6 and rep7.g2 == 6),
+        ("5-cycle has dimension 0 and no weight-<=2 elements", rep5.dimension == rep5.g2 == 0),
+        ("5-cycle oracle nullity is 0", rep5.oracle_nullity == 0),
+        ("brute and fast enumerations agree on sample graphs", agree),
+    )
+    for label, passed in checks:
+        sys.stdout.write(f"{'ok' if passed else 'FAIL'} - {label}\n")
+    return 0 if all(passed for _, passed in checks) else 4
 
 
 class _Parser(argparse.ArgumentParser):

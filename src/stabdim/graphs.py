@@ -32,6 +32,7 @@ G(n, p) edge inclusion tests ``next_u64() < int(p * 2**64)``.
 
 from __future__ import annotations
 
+import io
 from collections import namedtuple
 
 from .errors import ConstraintError, GraphParseError
@@ -185,7 +186,8 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
                 continue
         cut = bulk and block_end(text, pos)
         stop = cut.end() if cut else len(text)
-        for raw in text[pos:stop].splitlines():
+        # Lines end at \n, \r\n or \r only, as in the bulk lane and open().
+        for raw in io.StringIO(text[pos:stop], newline=""):
             lineno += 1
             tokens = raw.split()
             if not tokens or tokens[0] == "c":
@@ -284,6 +286,11 @@ def check_graph6_size(n: int) -> None:
     """Refuse (ConstraintError) an n beyond graph6's one-byte size form."""
     if n > GRAPH6_MAX_N:
         raise ConstraintError(f"graph6 one-byte size form caps at n={GRAPH6_MAX_N}, got n={n}")
+
+
+def graph6_detail(g: Graph) -> str:
+    """`` graph6=<g>`` when g fits graph6's one-byte size form (n <= 62), else empty."""
+    return f" graph6={encode_graph6(g)}" if g.n <= GRAPH6_MAX_N else ""
 
 
 def encode_graph6(g: Graph) -> str:

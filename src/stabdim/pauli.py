@@ -19,7 +19,7 @@ from collections import namedtuple
 # g2_rank lives next to slot_span_rank; stabdim.g2_rank and theorem import it from here.
 from .configurations import detect_configurations, exponent_vector, g2_rank
 from .errors import ConsistencyError
-from .graphs import Graph, bit_indices
+from .graphs import Graph, bit_indices, graph6_detail
 
 _SIGNS = ("+", "+i", "-", "-i")
 # Letter of one qubit, indexed by x_bit | z_bit << 1.
@@ -103,7 +103,7 @@ def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliS
         if p.weight() < 2 and (e & (e - 1) or g.adj[e.bit_length() - 1]):
             raise ConsistencyError(
                 f"weight-{p.weight()} stabilizer element {p} from exponent vector "
-                f"{format(e, f'0{g.n}b')[::-1]}, which is not one isolated vertex"
+                f"{format(e, f'0{g.n}b')[::-1]}, which is not one isolated vertex{graph6_detail(g)}"
             )
     return out
 

@@ -15,7 +15,7 @@ from collections import namedtuple
 from . import oracle
 from .configurations import analyze, require_core_input
 from .errors import ConsistencyError
-from .graphs import GRAPH6_MAX_N, Graph, encode_graph6
+from .graphs import Graph, graph6_detail
 from .pauli import g2_rank, low_weight_elements
 
 
@@ -70,8 +70,3 @@ def reproduction(g: Graph, dimension: int, g2: int, nullity: int | None) -> str:
     """Each route's value plus, when it fits, the input as graph6."""
     shown = "not-run" if nullity is None else nullity
     return f"dimension={dimension} g2={g2} oracle_nullity={shown}{graph6_detail(g)}"
-
-
-def graph6_detail(g: Graph) -> str:
-    """`` graph6=<g>`` when g fits graph6's one-byte size form (n <= 62), else empty."""
-    return f" graph6={encode_graph6(g)}" if g.n <= GRAPH6_MAX_N else ""

@@ -657,12 +657,38 @@ class TestByteOrderMark:
         )
 
 
+class TestLineEnds:
+    """A line ends at \\n, \\r\\n or \\r only, as in the bulk lane; the other
+    characters that str.splitlines() breaks at are whitespace inside a line."""
+
+    def test_form_feed_inside_a_comment(self, capsys, tmp_path):
+        data = b"c page one\fpage two\np edge 2 1\ne 1 2\n"
+        assert TestByteOrderMark.machine_report(capsys, tmp_path, data) == run_capture(
+            capsys, ["analyze", "--graph6", "A_", "--format", "machine"]
+        )
+
+    def test_error_named_at_its_own_line(self, capsys, tmp_path):
+        data = b"c one\fc two\np edge 2 2\ne 1 2\ne 1 2\n"
+        assert TestByteOrderMark.machine_report(capsys, tmp_path, data) == (
+            2, "", "parse error: line 4: duplicate edge (1, 2)\n"
+        )
+
+
 class TestSelftest:
     def test_passes(self, capsys):
-        code, out, _ = run_capture(capsys, ["selftest"])
-        assert code == 0
-        assert "FAIL" not in out
-        assert out.count("ok - ") >= 8
+        assert run_capture(capsys, ["selftest"]) == (0, "".join(
+            f"ok - {label}\n" for label in (
+                "2-qubit graph state has stabilizer dimension 3",
+                "2-qubit oracle nullity agrees",
+                "2-qubit boundary: g2 = 2, theorem_holds false",
+                "2-qubit generators are X(0)-Z(1), X(1)-Z(0), Y(0)-Y(1)",
+                "7-vertex star has dimension n-1 = 6",
+                "7-vertex star: oracle and g2 agree",
+                "5-cycle has dimension 0 and no weight-<=2 elements",
+                "5-cycle oracle nullity is 0",
+                "brute and fast enumerations agree on sample graphs",
+            )
+        ), "")
 
     def test_a_failed_check_exits_4(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "detect_configurations", lambda g: [])
@@ -672,6 +698,17 @@ class TestSelftest:
             "FAIL - 2-qubit generators are X(0)-Z(1), X(1)-Z(0), Y(0)-Y(1)"
         ]
         assert out.count("ok - ") == 8
+
+    def test_writes_nothing_before_a_later_fault(self, capsys, monkeypatch):
+        # Only the 7-star, whose checks follow K2's four, meets the faulty oracle.
+        real = oracle.local_algebra_nullity
+        monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g: 99 if g.n == 7 else real(g))
+        assert run_capture(capsys, ["selftest"]) == (
+            4,
+            "",
+            "internal consistency failure: oracle nullity 99 != dimension 6 "
+            "(dimension=6 g2=6 oracle_nullity=99 graph6=FsaC?)\n",
+        )
 
 
 class TestErrors:

@@ -48,7 +48,12 @@ PARSE_ERRORS = {
     "p edge 2 1\ne 1": "line 2: expected 'e <u> <v>'",
     "p edge 2\ne 1 2": "line 1: expected 'p edge <n> <m>'",
     "": "missing 'p edge <n> <m>' line",
+    # A line ends at \n, \r\n or \r only, so U+2028 is whitespace inside it.
+    "p edge 3 2\ne 1 2\u2028e 2 3": "line 2: expected 'e <u> <v>'",
 }
+
+# The eight characters str.splitlines() also breaks at, which the parser does not.
+OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def outcome(parse, text):
@@ -135,6 +140,11 @@ def comment_line(lines, i, n):
     return _joined(lines[:i] + ["c a comment"] + lines[i:])
 
 
+def other_break_in_comment(lines, i, n):
+    char = OTHER_BREAKS[i % len(OTHER_BREAKS)]
+    return _joined(lines[:i] + [f"c page one{char}page two"] + lines[i:])
+
+
 def double_space(lines, i, n):
     return _joined(lines[:i] + [lines[i].replace(" ", "  ")] + lines[i + 1:])
 
@@ -190,7 +200,7 @@ MUTATIONS = (
     duplicate, duplicate_reversed, self_loop, endpoint_zero, endpoint_past_n,
     one_edge_more, one_edge_fewer, blank_line, comment_line, double_space, tab,
     trailing_space, crlf, no_final_newline, plus_sign, underscore, leading_zero,
-    non_ascii_digit, e_line_first, vertex_ceiling_with_edges,
+    non_ascii_digit, e_line_first, vertex_ceiling_with_edges, other_break_in_comment,
 )
 
 
@@ -286,6 +296,15 @@ class TestEdgeList:
         with pytest.raises(GraphParseError) as excinfo:
             parse_edge_list(text)
         assert str(excinfo.value) == PARSE_ERRORS[text]
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_other_breaks_are_whitespace_inside_a_line(self, char):
+        text = f"c page one{char}page two\np edge 2 1\ne 1 2\n"
+        assert parse_edge_list(text) == line_by_line(text) == parse_edge_list(K2_TEXT)
+
+    def test_lone_cr_ends_a_line(self):
+        text = "c header\rp edge 3 2\re 1 2\re 2 3\r"
+        assert parse_edge_list(text) == line_by_line(text) == generate("path", 3)
 
     @given(graphs_strategy(max_n=14))
     @settings(max_examples=60)
@@ -404,8 +423,8 @@ class TestEdgeList:
     )
     def test_comment_and_crlf_inputs_peak_like_the_canonical_list(self, variant):
         # Runs of 'e' lines are parsed in bulk wherever they occur and with
-        # either line ending, so neither a leading comment nor CRLF makes the
-        # whole text go through splitlines().
+        # either line ending, so neither a leading comment nor CRLF sends the
+        # whole text through the line rules.
         text = encode_edge_list(generate("complete", 300))
         assert parse_peak(variant(text)) <= 1.2 * parse_peak(text)
 

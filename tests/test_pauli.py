@@ -182,22 +182,24 @@ class TestLowWeight:
         assert low_weight_elements(g, "brute") == low_weight_elements(g, "fast")
 
     @pytest.mark.parametrize(
-        "mode,g,vector",
+        "mode,g,vector,detail",
         [
-            ("brute", generate("path", 3), "100"),
-            ("fast", generate("path", 3), "100"),
+            ("brute", generate("path", 3), "100", " graph6=Bg"),
+            ("fast", generate("path", 3), "100", " graph6=Bg"),
             # Vertex 0 is isolated, so its weight-1 generator passes; vertex 1's does not.
-            ("brute", Graph.from_edges(3, [(1, 2)]), "010"),
+            ("brute", Graph.from_edges(3, [(1, 2)]), "010", " graph6=BG"),
+            # Past graph6's one-byte size form (n <= 62) the input is not shown.
+            ("brute", generate("path", 63), "1" + "0" * 62, ""),
         ],
-        ids=["brute", "fast", "brute-disconnected"],
+        ids=["brute", "fast", "brute-disconnected", "brute-n63"],
     )
-    def test_weight_below_two_names_its_exponent_vector(self, monkeypatch, mode, g, vector):
+    def test_weight_below_two_names_its_exponent_vector(self, monkeypatch, mode, g, vector, detail):
         # Both modes share the tail that builds the elements and checks them.
         monkeypatch.setattr(pauli, "element", lambda g, e: single("X", 3))
         with pytest.raises(
             ConsistencyError,
             match=rf"^weight-1 stabilizer element \+XII from exponent vector {vector}, "
-            r"which is not one isolated vertex$",
+            rf"which is not one isolated vertex{detail}$",
         ):
             low_weight_elements(g, mode)
 
