@@ -33,13 +33,12 @@ from .graphs import (
     encode_edge_list,
     encode_graph6,
     generate,
-    graph6_detail,
     parse_edge_list,
     parse_graph6,
 )
 from .pauli import low_weight_elements
 from .oracle import ORACLE_CEILING
-from .theorem import check_equivalence, check_routes
+from .theorem import check_elements, check_equivalence, check_routes
 
 # --oracle-max-n defaults to DEFAULT_ORACLE_CAP, the largest n --components also
 # runs the oracle for, and stops at oracle.ORACLE_CEILING, checked before the
@@ -141,7 +140,7 @@ def _load_graph(args, cap: tuple[str, int] | None = None) -> tuple[Graph, str]:
         # A leading byte-order mark, as some editors write, is not part of the list.
         g, source = parse_edge_list(text.removeprefix("\ufeff")), f"edge-list {args.file}"
     elif kind == "graph6":
-        g, source = parse_graph6(args.graph6), f"graph6 {args.graph6}"
+        g, source = parse_graph6(args.graph6), f"graph6 {args.graph6.strip()}"
     else:
         if args.n is None:
             raise UsageError("--family requires --n")
@@ -193,9 +192,8 @@ def _cmd_enumerate(args) -> int:
     modes = ("brute", "fast") if args.mode == "both" else (args.mode,)
     g, _ = _load_graph(args, ("enumeration", BRUTE_MAX_N) if "brute" in modes else None)
     results = {mode: low_weight_elements(g, mode=mode) for mode in modes}
-    if len(results) == 2 and results["brute"] != results["fast"]:
-        detail = f"brute={len(results['brute'])} fast={len(results['fast'])}{graph6_detail(g)}"
-        raise ConsistencyError(f"brute and fast enumerations disagree ({detail})")
+    if len(results) == 2:
+        check_elements(g, results["brute"], results["fast"])
     elements = results[modes[0]]
     width = f"0{g.n}b"
     for e, p in elements:
@@ -216,29 +214,21 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    """Every check runs before any line is written, so exit 4 leaves stdout empty."""
+    """Every gate runs before any line is written, so exit 4 leaves stdout empty;
+    the rows are the checks that no gate makes."""
     del args
     k2, star7, c5 = generate("complete", 2), generate("star", 7), generate("cycle", 5)
-    rep2 = check_equivalence(k2, with_oracle=True)
-    rep7 = check_equivalence(star7, with_oracle=True)
-    rep5 = check_equivalence(c5, with_oracle=True, element_mode="brute")
+    rep2, rep7, rep5 = (check_equivalence(g, with_oracle=True) for g in (k2, star7, c5))
+    for g in (k2, star7, c5, generate("path", 6), generate("complete", 5)):
+        check_elements(g, low_weight_elements(g, mode="brute"), low_weight_elements(g, mode="fast"))
     pairs = map(lie_generator, detect_configurations(k2))
     generators = {(pair.p[1], pair.p[0], pair.q[1], pair.q[0]) for pair in pairs}
-    agree = all(
-        low_weight_elements(g, mode="brute") == low_weight_elements(g, mode="fast")
-        for g in (k2, star7, c5, generate("path", 6), generate("complete", 5))
-    )
     checks = (
         ("2-qubit graph state has stabilizer dimension 3", rep2.dimension == 3),
-        ("2-qubit oracle nullity agrees", rep2.oracle_nullity == 3),
-        ("2-qubit boundary: g2 = 2, theorem_holds false", rep2.g2 == 2 and not rep2.holds),
         ("2-qubit generators are X(0)-Z(1), X(1)-Z(0), Y(0)-Y(1)",
          generators == {("X", 0, "Z", 1), ("X", 1, "Z", 0), ("Y", 0, "Y", 1)}),
         ("7-vertex star has dimension n-1 = 6", rep7.dimension == 6),
-        ("7-vertex star: oracle and g2 agree", rep7.oracle_nullity == 6 and rep7.g2 == 6),
         ("5-cycle has dimension 0 and no weight-<=2 elements", rep5.dimension == rep5.g2 == 0),
-        ("5-cycle oracle nullity is 0", rep5.oracle_nullity == 0),
-        ("brute and fast enumerations agree on sample graphs", agree),
     )
     for label, passed in checks:
         sys.stdout.write(f"{'ok' if passed else 'FAIL'} - {label}\n")

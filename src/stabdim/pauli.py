@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-# g2_rank lives next to slot_span_rank; stabdim.g2_rank and theorem import it from here.
+# g2_rank lives next to slot_span_rank; stabdim and perfbench's pauli.g2_rank use it from here.
 from .configurations import detect_configurations, exponent_vector, g2_rank
 from .errors import ConsistencyError
 from .graphs import Graph, bit_indices, graph6_detail

@@ -5,7 +5,8 @@ and the exact statevector nullity must coincide on every connected graph
 with n >= 3. The unique connected 2-vertex graph is the boundary where the
 dimension is 3 but the rank is 2, so on any graph, component sums included,
 dimension - g2 is the number of single-edge components (``boundary_gap``).
-``check_routes`` is the one gate on that rule and on the oracle's nullity.
+``check_routes`` is the one gate on that rule and on the oracle's nullity;
+``check_elements`` is the one gate on the brute and fast element lists.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from . import oracle
 from .configurations import analyze, require_core_input
 from .errors import ConsistencyError
 from .graphs import Graph, graph6_detail
-from .pauli import g2_rank, low_weight_elements
 
 
 class EquivalenceReport(namedtuple("EquivalenceReport", "n dimension g2 oracle_nullity holds")):
@@ -48,22 +48,21 @@ def check_routes(g: Graph, dimension: int, g2: int, nullity: int | None) -> None
         raise ConsistencyError(f"oracle nullity {nullity} != dimension {dimension} ({detail})")
 
 
-def check_equivalence(
-    g: Graph, with_oracle: bool = False, element_mode: str = "fast"
-) -> EquivalenceReport:
+def check_elements(g: Graph, brute: list, fast: list) -> None:
+    """Raise ConsistencyError, a program fault, unless g's brute and fast lists are equal."""
+    if brute != fast:
+        detail = f"brute={len(brute)} fast={len(fast)}{graph6_detail(g)}"
+        raise ConsistencyError(f"brute and fast enumerations disagree ({detail})")
+
+
+def check_equivalence(g: Graph, with_oracle: bool = False) -> EquivalenceReport:
     """Dimension, g2 and optionally the oracle nullity of a connected graph with
     n >= 2; ``check_routes`` raises after the oracle on any route disagreement.
-
-    In fast mode ``dimension`` and ``g2`` come from one detection pass, so that
-    gate is not independent; ``element_mode="brute"`` and the oracle are.
-    """
+    Only the oracle is independent: dimension and g2 come from one detection pass."""
     a = require_core_input(analyze(g))
-    g2 = a.g2
-    if element_mode != "fast":
-        g2 = g2_rank(e for e, _ in low_weight_elements(g, mode=element_mode))
     nullity = oracle.local_algebra_nullity(g) if with_oracle else None
-    check_routes(g, a.dimension, g2, nullity)
-    return EquivalenceReport(g.n, a.dimension, g2, nullity, a.dimension == g2)
+    check_routes(g, a.dimension, a.g2, nullity)
+    return EquivalenceReport(g.n, a.dimension, a.g2, nullity, a.dimension == a.g2)
 
 
 def reproduction(g: Graph, dimension: int, g2: int, nullity: int | None) -> str:

@@ -303,6 +303,12 @@ def is_stabilized_by_masks(p: PauliString, state) -> bool:
     return w == v0
 
 
+def brute_g2(g: Graph) -> int:
+    """g2 by the brute route alone: the rank of its weight-<=2 exponent vectors, so
+    it stays independent of the configuration detector that gives the fast g2."""
+    return g2_rank(e for e, _ in low_weight_elements(g, "brute"))
+
+
 def reference_brute_exponents(g: Graph) -> list[int]:
     """Sorted exponent vectors of the weight-<=2 elements by a walk over all
     2**n - 1 non-zero ones: a Gray code toggles one generator per step, which

@@ -20,7 +20,7 @@ from helpers import (
 from stabdim.configurations import analyze
 from stabdim.graphs import Graph, XorShift64Star, bit_indices, generate, is_connected
 from stabdim.pauli import g2_rank, low_weight_elements
-from stabdim.theorem import check_equivalence
+from stabdim.theorem import check_equivalence, check_routes
 
 MAX_N = 16
 
@@ -129,5 +129,7 @@ def test_independent_brute_g2_at_fastpath_sizes(name):
     g2 = g2_rank(e for e, _ in elements)
     assert g2 == analyze(g).g2
     assert all(p.weight() == 2 for _, p in elements)
-    # check_equivalence raises on a dimension/g2 mismatch.
-    assert check_equivalence(g, element_mode="brute").g2 == g2
+    # check_routes raises on a dimension/g2 mismatch.
+    rep = check_equivalence(g)
+    check_routes(g, rep.dimension, g2, None)
+    assert rep.g2 == g2

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from helpers import (
     all_labeled_graphs,
+    brute_g2,
     check_correspondence,
     check_pairwise_overlap,
     check_support_pairs,
@@ -13,7 +14,8 @@ from helpers import (
 from stabdim import theorem
 from stabdim.configurations import analyze
 from stabdim.errors import ConsistencyError, ConstraintError
-from stabdim.graphs import Graph, encode_graph6, generate
+from stabdim.graphs import Graph, encode_graph6, generate, is_connected
+from stabdim.pauli import low_weight_elements
 from stabdim.theorem import EquivalenceReport, check_equivalence
 
 
@@ -28,14 +30,19 @@ class TestCheckEquivalence:
         assert rep.oracle_nullity == rep.dimension == 4
 
     def test_c5(self):
-        rep = check_equivalence(generate("cycle", 5), with_oracle=True, element_mode="brute")
+        g = generate("cycle", 5)
+        rep = check_equivalence(g, with_oracle=True)
+        brute = brute_g2(g)
+        theorem.check_routes(g, rep.dimension, brute, rep.oracle_nullity)
         assert (rep.dimension, rep.g2, rep.holds, rep.oracle_nullity) == (0, 0, True, 0)
+        assert brute == 0
 
     def test_element_modes_agree(self):
         g = generate("tree", 9, seed=5)
-        assert check_equivalence(g, element_mode="brute") == check_equivalence(
-            g, element_mode="fast"
-        )
+        rep = check_equivalence(g)
+        brute = brute_g2(g)
+        theorem.check_routes(g, rep.dimension, brute, None)
+        assert brute == rep.g2
 
     def test_rejects_disconnected(self):
         with pytest.raises(ConstraintError):
@@ -53,12 +60,13 @@ class TestCheckEquivalence:
 
     def test_mismatch_at_n2_only_reported(self):
         # The boundary gap is reported, not raised, on every route: with the
-        # oracle run first and in either element mode.
-        for element_mode in ("brute", "fast"):
-            rep = check_equivalence(
-                generate("complete", 2), with_oracle=True, element_mode=element_mode
-            )
-            assert (rep.dimension, rep.g2, rep.holds) == (3, 2, False)
+        # oracle run first, and for the fast and the brute g2.
+        g = generate("complete", 2)
+        rep = check_equivalence(g, with_oracle=True)
+        assert (rep.dimension, rep.g2, rep.holds) == (3, 2, False)
+        brute = brute_g2(g)
+        theorem.check_routes(g, rep.dimension, brute, rep.oracle_nullity)
+        assert brute == 2
 
     def test_mismatch_at_n2_other_than_boundary_raises(self, monkeypatch):
         # At n = 2 only the boundary gap (dimension 3, g2 2) is reported.
@@ -100,6 +108,18 @@ class TestBoundaryGap:
         # A run that breaks both rules names the gap.
         with pytest.raises(ConsistencyError, match=r"^dimension 3 - g2 3 != expected gap 1 "):
             theorem.check_routes(k2, 3, 3, 2)
+
+
+class TestCheckElements:
+    def test_names_each_count_and_the_input(self):
+        k2 = generate("complete", 2)
+        elements = low_weight_elements(k2, "brute")
+        theorem.check_elements(k2, elements, low_weight_elements(k2, "fast"))
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^brute and fast enumerations disagree \(brute=3 fast=2 graph6=A_\)$",
+        ):
+            theorem.check_elements(k2, elements, elements[:2])
 
 
 class TestReproduction:
@@ -167,20 +187,20 @@ class TestTripleAgreement:
     @given(connected_graphs_strategy(min_n=3, max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_dimension_g2_nullity(self, g):
-        rep = check_equivalence(g, with_oracle=True, element_mode="brute")
-        assert rep.holds and rep.oracle_nullity == rep.dimension
+        rep = check_equivalence(g, with_oracle=True)
+        brute = brute_g2(g)
+        theorem.check_routes(g, rep.dimension, brute, rep.oracle_nullity)
+        assert rep.holds and rep.oracle_nullity == rep.dimension == brute
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_exhaustive_small_graphs(self, n):
         # Every connected labeled graph up to 5 vertices, no sampling gaps.
-        from helpers import all_labeled_graphs
-        from stabdim.graphs import is_connected
-        from stabdim.pauli import low_weight_elements
-
         for g in all_labeled_graphs(n):
             if not is_connected(g):
                 continue
-            rep = check_equivalence(g, with_oracle=True, element_mode="brute")
+            rep = check_equivalence(g, with_oracle=True)
+            brute = brute_g2(g)
+            theorem.check_routes(g, rep.dimension, brute, rep.oracle_nullity)
             assert rep.oracle_nullity == rep.dimension
-            assert rep.holds == (g.n != 2)
+            assert rep.holds == (rep.dimension == brute) == (g.n != 2)
             assert low_weight_elements(g, "brute") == low_weight_elements(g, "fast")
