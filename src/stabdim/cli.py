@@ -30,7 +30,7 @@ from .graphs import (
     Graph,
     check_family,
     check_graph6_size,
-    encode_edge_list,
+    edge_list_chunks,
     encode_graph6,
     generate,
     parse_edge_list,
@@ -209,7 +209,7 @@ def _cmd_gen(args) -> int:
         check_graph6_size(args.n)
         sys.stdout.write(encode_graph6(generate(*family_args)) + "\n")
     else:
-        sys.stdout.write(encode_edge_list(generate(*family_args)))
+        sys.stdout.writelines(edge_list_chunks(generate(*family_args)))
     return 0
 
 

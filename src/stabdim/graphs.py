@@ -241,11 +241,17 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
     return Graph._from_symmetric_rows(n, rows)
 
 
+def edge_list_chunks(g: Graph):
+    """``encode_edge_list``'s text in pieces: the ``p`` line, then per vertex u
+    its ``e u v`` lines with v > u, so a writer holds one row's lines at a time."""
+    yield f"p edge {g.n} {g.m}\n"
+    for u, row in enumerate(g.adj):
+        yield "".join([f"e {u + 1} {v + 1}\n" for v in bit_indices(row >> u << u)])
+
+
 def encode_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list; edges emitted sorted with u < v, 1-based."""
-    lines = [f"p edge {g.n} {g.m}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
+    return "".join(edge_list_chunks(g))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -272,14 +278,13 @@ def parse_graph6(text: str) -> Graph:
         raise GraphParseError(
             f"graph6 payload has {len(payload)} bytes, expected {(nbits + 5) // 6} for n={n}"
         )
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if (payload[idx // 6] >> (5 - idx % 6)) & 1:
-                edges.append((u, v))
-            idx += 1
-    return Graph.from_edges(n, edges)
+    bits = "".join(f"{c:06b}" for c in payload)
+    return Graph.from_edges(n, (uv for uv, bit in zip(_graph6_pairs(n), bits) if bit == "1"))
+
+
+def _graph6_pairs(n: int):
+    """The vertex pairs (u, v), u < v, in graph6's bit order: column-major."""
+    return ((u, v) for v in range(1, n) for u in range(v))
 
 
 def check_graph6_size(n: int) -> None:
@@ -296,18 +301,10 @@ def graph6_detail(g: Graph) -> str:
 def encode_graph6(g: Graph) -> str:
     """Inverse of parse_graph6; requires n <= 62."""
     check_graph6_size(g.n)
-    chunks = [g.n]
-    acc = width = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            acc = (acc << 1) | g.has_edge(u, v)
-            width += 1
-            if width == 6:
-                chunks.append(acc)
-                acc = width = 0
-    if width:
-        chunks.append(acc << (6 - width))
-    return "".join(chr(c + 63) for c in chunks)
+    bits = "".join("01"[g.has_edge(u, v)] for u, v in _graph6_pairs(g.n))
+    bits += "0" * (-len(bits) % 6)
+    groups = [int(bits[k:k + 6], 2) for k in range(0, len(bits), 6)]
+    return "".join(chr(c + 63) for c in [g.n, *groups])
 
 
 def _reach(g: Graph, start: int) -> int:
@@ -345,19 +342,18 @@ def twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]
     All lists ascend. Isolated vertices share the empty row but are no twins,
     so they are left out; no other vertices of two components share a row.
     """
-    leaves = []
-    by_open: dict[int, list[int]] = {}
-    by_closed: dict[int, list[int]] = {}
-    for a, row in enumerate(g.adj):
-        if not row:
-            continue
-        if row.bit_count() == 1:
-            leaves.append(a)
-        by_open.setdefault(row, []).append(a)
-        by_closed.setdefault(row | 1 << a, []).append(a)
-    open_classes = [c for c in by_open.values() if len(c) > 1]
-    closed_classes = [c for c in by_closed.values() if len(c) > 1]
-    return leaves, open_classes, closed_classes
+    leaves = [a for a, row in enumerate(g.adj) if row.bit_count() == 1]
+    return leaves, _classes(g.adj), _classes([row | 1 << a for a, row in enumerate(g.adj)])
+
+
+def _classes(keys) -> list[list[int]]:
+    """Ascending index lists of the nonzero keys that occur at least twice, in
+    the order of each key's first occurrence: the one rule of both twin kinds."""
+    by_key: dict[int, list[int]] = {}
+    for a, key in enumerate(keys):
+        if key:
+            by_key.setdefault(key, []).append(a)
+    return [c for c in by_key.values() if len(c) > 1]
 
 
 class XorShift64Star:
@@ -384,8 +380,6 @@ def _random_tree_edges(n: int, rng: XorShift64Star) -> list[tuple[int, int]]:
     # Uniform labeled tree from a random Pruefer sequence.
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.below(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:

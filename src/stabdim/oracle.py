@@ -110,8 +110,6 @@ def matrix_rank(rows) -> int:
             row[c + 1:] = [(lead * x - head * y) // prev for x, y in zip(row[c + 1:], tail)]
         prev = lead
         r += 1
-        if r == nrows:
-            break
     return r
 
 

@@ -183,6 +183,24 @@ def reference_analysis(g: Graph) -> tuple[list[Configuration], int, int]:
     return configs, dimension, g2
 
 
+def reference_twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """``graphs.twin_classes`` as it was written with one int-keyed dict per twin
+    kind: leaves, open classes, closed classes, in the same order."""
+    leaves = []
+    by_open: dict[int, list[int]] = {}
+    by_closed: dict[int, list[int]] = {}
+    for a, row in enumerate(g.adj):
+        if not row:
+            continue
+        if row.bit_count() == 1:
+            leaves.append(a)
+        by_open.setdefault(row, []).append(a)
+        by_closed.setdefault(row | 1 << a, []).append(a)
+    open_classes = [c for c in by_open.values() if len(c) > 1]
+    closed_classes = [c for c in by_closed.values() if len(c) > 1]
+    return leaves, open_classes, closed_classes
+
+
 def relabel(g: Graph, perm) -> Graph:
     """Apply a vertex permutation: vertex v becomes perm[v]."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

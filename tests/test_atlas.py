@@ -2,10 +2,16 @@
 
 import pytest
 
-from helpers import reference_brute_elements, reference_report
+from helpers import (
+    brute_g2,
+    local_complement,
+    reference_brute_elements,
+    reference_report,
+    reference_twin_classes,
+)
 from stabdim.cli import format_report
 from stabdim.configurations import analyze
-from stabdim.graphs import Graph, encode_graph6, parse_graph6
+from stabdim.graphs import Graph, encode_graph6, parse_graph6, twin_classes
 from stabdim.oracle import local_algebra_nullity
 from stabdim.pauli import g2_rank, low_weight_elements
 
@@ -39,6 +45,34 @@ def test_three_routes_agree_on_every_connected_graph():
         expected = (3, 2, 3) if g.n == 2 else (triple[0],) * 3
         if triple != expected or a.g2 != brute_g2:
             mismatches.append((encode_graph6(g), triple, a.g2))
+    assert mismatches == []
+
+
+def test_local_complementation_keeps_dimension_and_g2():
+    # Local complementation at v maps a graph state to a local-Clifford-equivalent
+    # one (Van den Nest, Dehaene and De Moor, PRA 69, 022316 (2004)). That keeps
+    # the local-unitary stabilizer, so its dimension, and maps weight-<=2
+    # stabilizer elements to weight-<=2 ones, so g2: neither needs the paper's
+    # theorem, while twins and leaves are not LC-invariant.
+    mismatches = []
+    checked = 0
+    for g in CONNECTED:
+        if g.n < 3:
+            continue
+        a = analyze(g)
+        routes = (a.dimension, a.g2, brute_g2(g))
+        for v in range(g.n):
+            h = local_complement(g, v)
+            b = analyze(h)
+            if (b.dimension, b.g2, brute_g2(h)) != routes:
+                mismatches.append((encode_graph6(g), v))
+            checked += 1
+    assert (checked, mismatches) == (6778, [])
+
+
+def test_twin_classes_equal_the_int_keyed_reference_on_every_graph():
+    # Disconnected graphs and isolated vertices included; lists and order.
+    mismatches = [encode_graph6(g) for _, g in ATLAS if twin_classes(g) != reference_twin_classes(g)]
     assert mismatches == []
 
 

@@ -1,7 +1,10 @@
 """CLI surface: sources, reports, exit codes, determinism."""
 
+import hashlib
+import io
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -452,6 +455,29 @@ class TestGen:
         )
         assert code == 0
         assert out == "p edge 3 2\ne 1 2\ne 2 3\n"
+
+    def test_edge_list_is_written_a_row_at_a_time(self, monkeypatch):
+        # Holding the whole text of complete 300 and its line list peaks near
+        # 6 MB; a row's lines take a few KB. The sink keeps only a digest.
+        class Sink(io.TextIOBase):
+            digest = hashlib.sha256()
+
+            def write(self, text):
+                self.digest.update(text.encode())
+                return len(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = run(["gen", "--family", "complete", "--n", "300", "--format", "edge-list"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20
+        expected = encode_edge_list(generate("complete", 300)).encode()
+        assert sink.digest.digest() == hashlib.sha256(expected).digest()
 
     def test_deterministic_tree(self, capsys):
         argv = ["gen", "--family", "tree", "--n", "10", "--seed", "12"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graphs_strategy, relabel
+from helpers import graphs_strategy, reference_twin_classes, relabel
 from stabdim import graphs
 from stabdim.errors import ConstraintError, GraphParseError
 from stabdim.graphs import (
@@ -22,6 +22,7 @@ from stabdim.graphs import (
     is_connected,
     parse_edge_list,
     parse_graph6,
+    twin_classes,
 )
 
 K2_TEXT = "p edge 2 1\ne 1 2"
@@ -491,6 +492,17 @@ class TestConnectivity:
     def test_components(self):
         g = Graph.from_edges(5, [(0, 3), (1, 2)])
         assert connected_components(g) == [[0, 3], [1, 2], [4]]
+
+
+class TestTwinClasses:
+    @given(graphs_strategy(max_n=9), st.integers(0, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_int_keyed_reference(self, g, isolated, data):
+        # Isolated vertices share the empty row and must stay out of every class.
+        n = g.n + isolated
+        perm = data.draw(st.permutations(range(n)))
+        h = relabel(Graph.from_edges(n, g.edges()), perm)
+        assert twin_classes(h) == reference_twin_classes(h)
 
 
 class TestGenerate:
