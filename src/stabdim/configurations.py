@@ -55,7 +55,7 @@ class Analysis(namedtuple("Analysis", "n connected configurations dimension g2")
 
 def analyze(g: Graph) -> Analysis:
     """Configurations, dimension and g2 of any graph in O(n + m + output) row
-    operations, each O(n/w) words on n-bit rows (see ROADMAP item 3).
+    operations, each O(n/w) words on n-bit rows (see ROADMAP item 9).
 
     Twin and closed-twin pairs are listed sorted by (a, b). The classes are
     disjoint and ascending, so each vertex heads at most one run of pairs,

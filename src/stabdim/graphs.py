@@ -26,14 +26,16 @@ bit-for-bit everywhere::
     output = (s * 0x2545F4914F6CDD1D) mod 2**64
 
 A zero seed is replaced by 0x9E3779B97F4A7C15 because the all-zero state is
-a fixed point of the update. Bounded draws use ``next_u64() % bound``;
-G(n, p) edge inclusion tests ``next_u64() < int(p * 2**64)``.
+a fixed point of the update. ``xorshift64star(seed)`` yields the outputs;
+a bounded draw is ``output % bound`` and G(n, p) keeps an edge iff
+``output < int(p * 2**64)``.
 """
 
 from __future__ import annotations
 
 import io
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .errors import ConstraintError, GraphParseError
 
@@ -118,17 +120,10 @@ class Graph(namedtuple("Graph", "n adj")):
         return bool((self.adj[u] >> v) & 1)
 
     def induced_subgraph(self, vertices) -> "Graph":
-        """Subgraph on ``vertices``, relabeled 0..k-1 in the given order."""
+        """Subgraph on the distinct ``vertices``, relabeled 0..k-1 in the given order."""
         index = {v: i for i, v in enumerate(vertices)}
-        rows = []
-        for v in vertices:
-            row = 0
-            for u in bit_indices(self.adj[v]):
-                j = index.get(u)
-                if j is not None:
-                    row |= 1 << j
-            rows.append(row)
-        return Graph(len(vertices), tuple(rows))
+        kept = ((index[u], index[v]) for u, v in self.edges() if u in index and v in index)
+        return Graph.from_edges(len(vertices), kept)
 
 
 # A run of ``e <u> <v>`` lines as ``encode_edge_list`` writes them, LF or CRLF,
@@ -349,38 +344,34 @@ def twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]
 def _classes(keys) -> list[list[int]]:
     """Ascending index lists of the nonzero keys that occur at least twice, in
     the order of each key's first occurrence: the one rule of both twin kinds."""
-    by_key: dict[int, list[int]] = {}
-    for a, key in enumerate(keys):
+    by_key: dict[bytes, list[int]] = {}
+    for a, key in enumerate(map(_row_key, keys)):
         if key:
             by_key.setdefault(key, []).append(a)
     return [c for c in by_key.values() if len(c) > 1]
 
 
-class XorShift64Star:
-    """xorshift64* generator; update equations in the module docstring."""
+def _row_key(row: int) -> bytes:
+    """``row``'s bytes, empty for 0, as a dict key: CPython hashes an int modulo
+    2**61 - 1, so the rows of banded graphs share a few dozen int hashes."""
+    return row.to_bytes((row.bit_length() + 7) // 8, "little")
 
-    _MULT = 0x2545F4914F6CDD1D
 
-    def __init__(self, seed: int) -> None:
-        self.state = (seed & _MASK64) or 0x9E3779B97F4A7C15
-
-    def next_u64(self) -> int:
-        s = self.state
+def xorshift64star(seed: int) -> Iterator[int]:
+    """The xorshift64* outputs of ``seed``, endlessly; equations in the module docstring."""
+    s = (seed & _MASK64) or 0x9E3779B97F4A7C15
+    while True:
         s ^= s >> 12
         s = (s ^ (s << 25)) & _MASK64
         s ^= s >> 27
-        self.state = s
-        return (s * self._MULT) & _MASK64
-
-    def below(self, bound: int) -> int:
-        return self.next_u64() % bound
+        yield (s * 0x2545F4914F6CDD1D) & _MASK64
 
 
-def _random_tree_edges(n: int, rng: XorShift64Star) -> list[tuple[int, int]]:
+def _random_tree_edges(n: int, rng: Iterator[int]) -> list[tuple[int, int]]:
     # Uniform labeled tree from a random Pruefer sequence.
     if n == 1:
         return []
-    seq = [rng.below(n) for _ in range(n - 2)]
+    seq = [next(rng) % n for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
         degree[v] += 1
@@ -432,9 +423,9 @@ def generate(family: str, n: int, p: float | None = None, seed: int = 0) -> Grap
     elif family == "complete":
         edges = ((u, v) for u in range(n) for v in range(u + 1, n))
     elif family == "tree":
-        edges = _random_tree_edges(n, XorShift64Star(seed))
+        edges = _random_tree_edges(n, xorshift64star(seed))
     else:  # gnp
-        rng = XorShift64Star(seed)
+        rng = xorshift64star(seed)
         threshold = int(p * 2**64)
-        edges = ((u, v) for u in range(n) for v in range(u + 1, n) if rng.next_u64() < threshold)
+        edges = ((u, v) for u in range(n) for v in range(u + 1, n) if next(rng) < threshold)
     return Graph.from_edges(n, edges)

@@ -82,13 +82,8 @@ def apply_pauli(p, v: ExactStateVector) -> ExactStateVector:
             a, b = v.re[src], v.im[src]
         re[y] = a
         im[y] = b
-    k = p.phase_exp
-    if k == 1:
+    for _ in range(p.phase_exp):  # each factor i is a quarter turn
         re, im = [-b for b in im], re
-    elif k == 2:
-        re, im = [-a for a in re], [-b for b in im]
-    elif k == 3:
-        re, im = im, [-a for a in re]
     return ExactStateVector(v.n, tuple(re), tuple(im))
 
 

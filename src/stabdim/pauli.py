@@ -84,7 +84,7 @@ def low_weight_elements(g: Graph, mode: str = "brute") -> list[tuple[int, PauliS
     groups vertices into classes. ``fast`` maps each configuration of
     ``detect_configurations(g)`` to its exponent vector, so it refuses what
     that refuses (a disconnected graph or n < 2); it takes O(n + m + output)
-    row operations, each O(n/w) words on n-bit rows (see ROADMAP item 3).
+    row operations, each O(n/w) words on n-bit rows (see ROADMAP item 9).
     The modes differ only in how they pick the exponent vectors and return
     identical lists, so comparing them checks the configuration detector.
     Both build each element with ``element(g, e)`` from the adjacency rows

@@ -18,7 +18,7 @@ from helpers import (
     relabel,
 )
 from stabdim.configurations import analyze
-from stabdim.graphs import Graph, XorShift64Star, bit_indices, generate, is_connected
+from stabdim.graphs import Graph, bit_indices, generate, is_connected, xorshift64star
 from stabdim.pauli import g2_rank, low_weight_elements
 from stabdim.theorem import check_equivalence, check_routes
 
@@ -99,10 +99,10 @@ def test_local_complement_and_relabel(g, data):
 
 
 def chorded_tree(n, chords, seed):
-    rng = XorShift64Star(seed)
+    rng = xorshift64star(seed)
     edges = set(generate("tree", n, seed=seed).edges())
     while len(edges) < n - 1 + chords:
-        u, v = sorted((rng.below(n), rng.below(n)))
+        u, v = sorted((next(rng) % n, next(rng) % n))
         if u != v:
             edges.add((u, v))
     return Graph.from_edges(n, sorted(edges))

@@ -1,8 +1,12 @@
 """CLI surface: sources, reports, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import tracemalloc
 
@@ -185,6 +189,16 @@ class TestVerify:
         code, _, err = run_capture(capsys, ["verify", "--family", "star", "--n", "15"])
         assert code == 3
         assert "cap" in err
+
+    def test_options_are_analyzes_plus_the_oracle_cap(self):
+        subcommands = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+
+        def options(name):
+            return [s for a in subcommands[name]._actions for s in a.option_strings]
+
+        assert options("verify") == options("analyze") + ["--oracle-max-n"]
 
     def test_cap_can_be_raised(self, capsys):
         code, out, _ = run_capture(
@@ -817,6 +831,31 @@ class TestErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "complete", "--n", "2000", "--format", "edge-list"],
+            ["enumerate", "--family", "star", "--n", "200", "--mode", "fast"],
+        ],
+        ids=["gen", "enumerate"],
+    )
+    def test_exits_141_without_a_traceback(self, argv):
+        # As `stabdim ... | head -n 1`: the reader takes one line and closes the
+        # pipe while the writer still has megabytes to write.
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from stabdim.cli import main; main()", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 class TestReportMatchesReference:

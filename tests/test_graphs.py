@@ -1,6 +1,7 @@
 """Graph type, parsers, encoders, and deterministic generation."""
 
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from stabdim.graphs import (
     EDGE_LIST_MAX_N,
     FAMILIES,
     Graph,
-    XorShift64Star,
     bit_indices,
     connected_components,
     encode_edge_list,
@@ -23,6 +23,7 @@ from stabdim.graphs import (
     parse_edge_list,
     parse_graph6,
     twin_classes,
+    xorshift64star,
 )
 
 K2_TEXT = "p edge 2 1\ne 1 2"
@@ -268,6 +269,15 @@ class TestGraphType:
         sub = p4.induced_subgraph([1, 2, 3])
         assert edges_of(sub) == {(0, 1), (1, 2)}
 
+    @given(graphs_strategy(max_n=9), st.data())
+    def test_induced_subgraph_keeps_each_pair(self, g, data):
+        vs = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+        sub = g.induced_subgraph(vs)
+        assert sub.n == len(vs)
+        for i in range(sub.n):
+            for j in range(sub.n):
+                assert sub.has_edge(i, j) == g.has_edge(vs[i], vs[j])
+
     def test_relabel(self):
         p3 = generate("path", 3)
         assert edges_of(relabel(p3, [2, 0, 1])) == {(0, 2), (0, 1)}
@@ -504,6 +514,18 @@ class TestTwinClasses:
         h = relabel(Graph.from_edges(n, g.edges()), perm)
         assert twin_classes(h) == reference_twin_classes(h)
 
+    @pytest.mark.parametrize("shape", ["path", "fan"])
+    def test_row_keys_spread_over_hashes(self, shape):
+        # An int hashes modulo 2**61 - 1, so these rows as ints take 63 or 64
+        # hashes and every dict probe compares n-bit ints; the keys must not.
+        n = 4096
+        edges = [(i, i + 1) for i in range(n - 1)]
+        if shape == "fan":  # the path plus its last vertex joined to all
+            edges += [(i, n - 1) for i in range(n - 2)]
+        g = Graph.from_edges(n, edges)
+        for rows in (g.adj, [row | 1 << a for a, row in enumerate(g.adj)]):
+            assert len({hash(graphs._row_key(row)) for row in rows}) >= n // 2
+
 
 class TestGenerate:
     def test_families(self):
@@ -558,8 +580,8 @@ class TestGenerate:
         assert peak < 2**19
         pairs = [(u, v) for u in range(300) for v in range(u + 1, 300)]
         if family == "gnp":
-            rng, threshold = XorShift64Star(seed), int(p * 2**64)
-            pairs = [e for e in pairs if rng.next_u64() < threshold]
+            rng, threshold = xorshift64star(seed), int(p * 2**64)
+            pairs = [e for e in pairs if next(rng) < threshold]
         assert g == Graph.from_edges(300, pairs)
 
     def test_determinism(self):
@@ -577,5 +599,25 @@ class TestGenerate:
         assert len(draws) > 1
 
     def test_xorshift_zero_seed_remapped(self):
-        assert XorShift64Star(0).state != 0
-        assert XorShift64Star(0).next_u64() == XorShift64Star(0).next_u64()
+        draws = list(islice(xorshift64star(0), 8))
+        assert draws == list(islice(xorshift64star(0x9E3779B97F4A7C15), 8))
+        assert any(draws)
+        assert next(xorshift64star(0)) == next(xorshift64star(0))
+
+    @pytest.mark.parametrize(
+        "seeds,outputs",
+        [
+            ((0,), (0x0D83B3E29A21487A, 0x54C44C79F1FE9D67, 0xA845F342007A0E78)),
+            ((1, 2**64 + 1), (0x47E4CE4B896CDD1D, 0xABCFA6A8E079651D, 0xB9D10D8FEB731F57)),
+            ((7,), (0xD1FBAF7F728D2EAE, 0xEDA46C77629DA6AE, 0x16DF9D6AC76BD322)),
+        ],
+        ids=["seed0", "seed1", "seed7"],
+    )
+    def test_seeded_stream_is_pinned(self, seeds, outputs):
+        # Seeded corpora must reproduce bit-for-bit: these are the first draws
+        # of the published xorshift64* update, the seed taken mod 2**64.
+        for seed in seeds:
+            assert tuple(islice(xorshift64star(seed), 3)) == outputs
+
+    def test_seeded_tree_is_pinned(self):
+        assert encode_graph6(generate("tree", 12, seed=5)) == "KC??a?gP_HO?"

@@ -30,6 +30,7 @@ from stabdim.configurations import analyze, detect_configurations, lie_generator
 from stabdim.errors import ConstraintError
 from stabdim.graphs import Graph, generate
 from stabdim.oracle import (
+    ExactStateVector,
     _gram_blocks,
     apply_pauli,
     build_statevector,
@@ -103,6 +104,18 @@ class TestApplyPauli:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             apply_pauli(identity(3), build_statevector(generate("path", 2)))
+
+    @given(graphs_strategy(max_n=6), st.data())
+    def test_phase_exp_multiplies_by_a_power_of_i(self, g, data):
+        # A complex state, so both the real and the imaginary lane turn.
+        v0 = build_statevector(g)
+        v = ExactStateVector(g.n, v0.re, v0.re[::-1])
+        x, z = (data.draw(st.integers(0, (1 << g.n) - 1)) for _ in range(2))
+        base = apply_pauli(PauliString(g.n, x, z), v)
+        for k in range(4):
+            w = apply_pauli(PauliString(g.n, x, z, k), v)
+            for y in range(1 << g.n):
+                assert complex(w.re[y], w.im[y]) == 1j**k * complex(base.re[y], base.im[y])
 
 
 class TestIsStabilized:
