@@ -7,7 +7,8 @@ examples).
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 constraint violation
 (disconnected input without --components, size caps), 4 internal consistency
-failure (a route disagreement, which always means a bug).
+failure (a route disagreement, which always means a bug), 74 output error (a
+write to stdout failed), 141 the reader closed stdout early.
 """
 
 from __future__ import annotations
@@ -15,14 +16,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 
 from . import oracle
 from .configurations import (
     AXES,
+    CLOSED_TWIN,
+    LEAF,
+    TWIN,
     Analysis,
     analyze,
     detect_configurations,
     lie_generator,
+    pair_runs,
     require_core_input,
 )
 from .errors import ConsistencyError, ConstraintError, GraphParseError
@@ -56,39 +62,79 @@ class UsageError(Exception):
 
 def format_report(
     g: Graph, a: Analysis, nullity: int | None, source: str, components: bool, mode: str = "text"
-) -> str:
-    holds = a.dimension == a.g2
+) -> Iterator[str]:
+    """The report in chunks: its head, one chunk per twin or closed-twin class
+    head (its pairs with each later member of its class), one for all the
+    leaves, then its tail, so no chunk is longer than O(n) lines. An unknown
+    ``mode`` raises ValueError here, before any chunk is made."""
     if mode == "machine":
-        # The bytes json.dumps(record, separators=(",", ":")) gives, spelled out
-        # with one format per field: every value is an int, a bool or a kind name.
-        true_false = {True: "true", False: "false"}
-        configurations = ",".join(
-            ['{"kind":"%s","a":%d,"b":%d}' % c for c in a.configurations]
-        )
-        line = (
-            '{"n":%d,"m":%d,"connected":%s,"dimension":%d,"g2":%d,"theorem_holds":%s,'
-            '"configurations":[%s]'
-            % (g.n, g.m, true_false[a.connected], a.dimension, a.g2, true_false[holds],
-               configurations)
-        )
-        if nullity is not None:
-            # check_routes has passed, so a nullity given here equals the dimension.
-            line += ',"oracle_nullity":%d,"oracle_agrees":true' % nullity
-        return line + "}\n"
+        return _machine_report(g, a, nullity)
     if mode != "text":
         raise ValueError(f"unknown report mode {mode!r}")
+    return _text_report(g, a, nullity, source, components)
 
+
+def _machine_report(g: Graph, a: Analysis, nullity: int | None) -> Iterator[str]:
+    # The bytes json.dumps(record, separators=(",", ":")) gives, spelled out
+    # with one format per field: every value is an int, a bool or a kind name.
+    true_false = {True: "true", False: "false"}
+    yield (
+        '{"n":%d,"m":%d,"connected":%s,"dimension":%d,"g2":%d,"theorem_holds":%s,'
+        '"configurations":['
+        % (g.n, g.m, true_false[a.connected], a.dimension, a.g2, true_false[a.dimension == a.g2])
+    )
+    leaves = ",".join(['{"kind":"%s","a":%d,"b":%d}' % (LEAF, x, b) for x, b in a.leaves])
+    comma = ""
+    for chunk in _configuration_chunks(a, _machine_run, leaves):
+        yield comma + chunk
+        comma = ","
+    tail = "]"
+    if nullity is not None:
+        # check_routes has passed, so a nullity given here equals the dimension.
+        tail += ',"oracle_nullity":%d,"oracle_agrees":true' % nullity
+    yield tail + "}\n"
+
+
+def _machine_run(kind: str, x: int, labels: list[str]) -> str:
+    head = '{"kind":"%s","a":%d,"b":' % (kind, x)
+    return head + ("}," + head).join(labels) + "}"
+
+
+def _text_run(kind: str, x: int, labels: list[str]) -> str:
+    p, q = AXES[kind]
+    head, middle = f"  {kind} a={x} b=", f" generator {p}({x})-{q}("
+    return "".join([f"{head}{y}{middle}{y})\n" for y in labels])
+
+
+def _configuration_chunks(a: Analysis, run, leaves: str) -> Iterator[str]:
+    """A report's configuration chunks in report order: ``run(kind, x, labels)``
+    per twin class head x, with the labels of its class's later members, then
+    ``leaves`` unless empty, then ``run`` per closed-twin class head. Each class
+    member's label is made once: a class of k vertices prints them Theta(k^2) times."""
+    label = {v: str(v) for classes in (a.open_classes, a.closed_classes) for c in classes for v in c}
+    for x, bs in pair_runs(a.open_classes):
+        yield run(TWIN, x, [label[b] for b in bs])
+    if leaves:
+        yield leaves
+    for x, bs in pair_runs(a.closed_classes):
+        yield run(CLOSED_TWIN, x, [label[b] for b in bs])
+
+
+def _text_report(
+    g: Graph, a: Analysis, nullity: int | None, source: str, components: bool
+) -> Iterator[str]:
     yes_no = {True: "yes", False: "no"}
     lines = [f"source: {source}", f"n: {g.n}", f"m: {g.m}", f"connected: {yes_no[a.connected]}"]
     if components:
         lines.append("mode: component-sum extension")
-    if a.configurations:
-        lines.append("configurations:")
-        templates = {k: f"  {k} a=%d b=%d generator {p}(%d)-{q}(%d)" for k, (p, q) in AXES.items()}
-        lines += [templates[kind] % (x, y, x, y) for kind, x, y in a.configurations]
-    else:
-        lines.append("configurations: none")
-    lines.append(f"dimension: {a.dimension}")
+    found = a.leaves or a.open_classes or a.closed_classes
+    lines.append("configurations:" if found else "configurations: none")
+    yield "\n".join(lines) + "\n"
+    p, q = AXES[LEAF]
+    leaf = f"  {LEAF} a=%d b=%d generator {p}(%d)-{q}(%d)\n"
+    leaves = "".join([leaf % (x, b, x, b) for x, b in a.leaves])
+    yield from _configuration_chunks(a, _text_run, leaves)
+    lines = [f"dimension: {a.dimension}"]
     # local unitary group has dimension 3n+1; the orbit gets the rest
     lines.append(f"orbit_dimension: {3 * g.n + 1 - a.dimension} (derived)")
     lines.append(f"g2: {a.g2}")
@@ -102,11 +148,11 @@ def format_report(
             if g.n == 2
             else f" (expected boundary: {gap} component{plural} with n = 2)"
         )
-    lines.append(f"theorem_holds: {yes_no[holds]}{note}")
+    lines.append(f"theorem_holds: {yes_no[a.dimension == a.g2]}{note}")
     if nullity is not None:
         lines.append(f"oracle_nullity: {nullity}")
         lines.append("oracle_agrees: yes")
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
 
 
 def _family_args(args) -> tuple:
@@ -175,8 +221,23 @@ def _report(g: Graph, source: str, args, with_oracle: bool) -> int:
     run_oracle = with_oracle or (args.components and g.n <= DEFAULT_ORACLE_CAP)
     nullity = oracle.local_algebra_nullity(g) if run_oracle else None
     check_routes(g, a.dimension, a.g2, nullity)
-    sys.stdout.write(format_report(g, a, nullity, source, args.components, args.format))
+    report = format_report(g, a, nullity, source, args.components, args.format)
+    sys.stdout.writelines(_blocks(report))
     return 0
+
+
+def _blocks(chunks, size: int = 1 << 16) -> Iterator[str]:
+    """``chunks`` joined into blocks of about ``size`` characters, so a writer
+    holds one block at a time and an unbuffered stdout (``PYTHONUNBUFFERED``)
+    still makes one write per block, not one per chunk."""
+    block, held = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        held += len(chunk)
+        if held >= size:
+            yield "".join(block)
+            block, held = [], 0
+    yield "".join(block)
 
 
 def _cmd_analyze(args) -> int:
@@ -210,7 +271,7 @@ def _cmd_gen(args) -> int:
         check_graph6_size(args.n)
         sys.stdout.write(encode_graph6(generate(*family_args)) + "\n")
     else:
-        sys.stdout.writelines(edge_list_chunks(generate(*family_args)))
+        sys.stdout.writelines(_blocks(edge_list_chunks(generate(*family_args))))
     return 0
 
 
@@ -301,14 +362,23 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
+    if sys.stdout is None:
+        # fd 1 was closed at start-up. Stand in a descriptor open for reading only:
+        # a write to it fails with EBADF, as one to the closed fd would.
+        sys.stdout = open(os.open(os.devnull, os.O_RDONLY), "w", encoding="utf-8")
     try:
         code = run(argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe early. Point fd 1 at devnull so the flush at
-        # exit cannot raise again, and exit as cat does: 128 + SIGPIPE.
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader closed the pipe early: exit as cat does, 128 + SIGPIPE.
+            code = 141
+        else:
+            # A full disk, a closed stdout or any other failed write or flush.
+            print(f"output error: {exc.strerror or exc}", file=sys.stderr)
+            code = 74
+        # Point fd 1 at devnull so the flush at exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
     raise SystemExit(code)
 
 

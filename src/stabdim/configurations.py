@@ -10,6 +10,7 @@ slot graph), which union-find computes with no arithmetic at all.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import partial
 from itertools import repeat
 
@@ -39,53 +40,74 @@ class SlotPair(namedtuple("SlotPair", "p q")):
         return f"{self.p[1]}({self.p[0]})-{self.q[1]}({self.q[0]})"
 
 
-class Analysis(namedtuple("Analysis", "n connected configurations dimension g2")):
-    """The fast path's result: one connectivity pass, one twin-class pass.
+class Analysis(
+    namedtuple("Analysis", "n connected leaves open_classes closed_classes dimension g2")
+):
+    """The fast path's result, O(n) in size: one connectivity pass, one twin-class pass.
 
+    ``leaves`` holds one (leaf, neighbour) pair per degree-1 vertex, ascending;
+    ``open_classes`` and ``closed_classes`` are ``twin_classes``' ascending
+    lists of >= 2 open and closed twins. A class of k vertices stands for its
+    C(k, 2) twin pairs, which ``pair_runs`` and ``iter_configurations`` write
+    out on demand: no pair is held.
     ``dimension``, ``g2`` and ``pauli``'s fast element list all come from the
     same twin classes, so their agreement is no independent check (brute
     enumeration and the oracle are).
     A disconnected graph gets component sums, each isolated vertex adding 1;
     only the oracle backs that extension, as the theory covers connected graphs.
-    ``configurations`` is a list of ``Configuration``.
     """
 
     __slots__ = ()
 
 
 def analyze(g: Graph) -> Analysis:
-    """Configurations, dimension and g2 of any graph in O(n + m + output) row
+    """Leaves, twin classes, dimension and g2 of any graph in O(n + m) row
     operations, each O(n/w) words on n-bit rows (see ROADMAP item 9).
 
-    Twin and closed-twin pairs are listed sorted by (a, b). The classes are
-    disjoint and ascending, so each vertex heads at most one run of pairs,
-    ``a`` with every later member of its class: sorting those <= n heads,
-    not the pairs, costs O(n log n + output).
+    A class of k vertices spans the same slots, and the same exponent vectors,
+    as a chain of k - 1 of its pairs, so neither the union-find nor the g2 rank
+    reads more than n - 1 configurations, and the Theta(k^2) pairs are never built.
     """
-    leaves, open_classes, closed_classes = twin_classes(g)
-    leaf_configs = [Configuration(LEAF, a, g.adj[a].bit_length() - 1) for a in leaves]
-    pairs = {}
-    # A class of k vertices spans the same slots, and the same exponent vectors,
-    # as a chain of k - 1 of its pairs, so neither the union-find nor the g2
-    # rank needs the Theta(k^2) pair list.
-    chains = list(leaf_configs)
-    # tuple.__new__ builds each of the Theta(k^2) records in C, where a
-    # Configuration(...) call would run the generated Python __new__ per pair.
-    make = partial(tuple.__new__, Configuration)
+    leaf_vertices, open_classes, closed_classes = twin_classes(g)
+    leaves = [(x, g.adj[x].bit_length() - 1) for x in leaf_vertices]
+    chains = [Configuration(LEAF, x, b) for x, b in leaves]
     for kind, classes in ((TWIN, open_classes), (CLOSED_TWIN, closed_classes)):
-        heads = sorted((c[i], c[i + 1:]) for c in classes for i in range(len(c) - 1))
-        found = pairs[kind] = []
-        for a, tail in heads:
-            found += map(make, zip(repeat(kind), repeat(a), tail))
-        chains += [Configuration(kind, a, b) for c in classes for a, b in zip(c, c[1:])]
+        chains += [Configuration(kind, x, b) for c in classes for x, b in zip(c, c[1:])]
     isolated = g.adj.count(0)
     return Analysis(
         n=g.n,
         connected=is_connected(g),
-        configurations=pairs[TWIN] + leaf_configs + pairs[CLOSED_TWIN],
+        leaves=leaves,
+        open_classes=open_classes,
+        closed_classes=closed_classes,
         dimension=isolated + slot_span_rank(lie_generator(c) for c in chains),
         g2=isolated + g2_rank(exponent_vector(c) for c in chains),
     )
+
+
+def pair_runs(classes: list[list[int]]) -> Iterator[tuple[int, list[int]]]:
+    """The pairs of ``classes`` as runs (x, bs), one per class head x with the
+    later members bs of its class: the pairs (x, b) for b in bs, sorted by (x, b).
+
+    The classes are disjoint and ascending, so each vertex heads at most one
+    run: sorting those <= n heads, not the pairs, costs O(n log n), and each
+    run's tail is sliced only when it is reached.
+    """
+    for x, c, i in sorted((c[i], c, i) for c in classes for i in range(len(c) - 1)):
+        yield x, c[i + 1:]
+
+
+def iter_configurations(a: Analysis) -> Iterator[Configuration]:
+    """Every configuration of ``a`` in report order: twin pairs sorted by
+    (a, b), then the leaves, then closed-twin pairs sorted by (a, b)."""
+    # tuple.__new__ builds each record in C, where a Configuration(...) call
+    # would run the generated Python __new__ per pair.
+    make = partial(tuple.__new__, Configuration)
+    for x, bs in pair_runs(a.open_classes):
+        yield from map(make, zip(repeat(TWIN), repeat(x), bs))
+    yield from (make((LEAF, x, b)) for x, b in a.leaves)
+    for x, bs in pair_runs(a.closed_classes):
+        yield from map(make, zip(repeat(CLOSED_TWIN), repeat(x), bs))
 
 
 def require_core_input(a: Analysis) -> Analysis:
@@ -99,7 +121,7 @@ def require_core_input(a: Analysis) -> Analysis:
 
 def detect_configurations(g: Graph) -> list[Configuration]:
     """Every twin pair, degree-1 vertex, and closed-twin pair, in kind order."""
-    return require_core_input(analyze(g)).configurations
+    return list(iter_configurations(require_core_input(analyze(g))))
 
 
 def lie_generator(c: Configuration) -> SlotPair:
@@ -159,4 +181,4 @@ def stabilizer_dimension(g: Graph) -> int:
 def components_with_configurations(g: Graph) -> tuple[int, list[Configuration]]:
     """Component-sum dimension plus all configurations in global vertex labels."""
     a = analyze(g)
-    return a.dimension, a.configurations
+    return a.dimension, list(iter_configurations(a))

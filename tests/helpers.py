@@ -183,6 +183,41 @@ def reference_analysis(g: Graph) -> tuple[list[Configuration], int, int]:
     return configs, dimension, g2
 
 
+def closed_form_dimension(g: Graph, a) -> int:
+    """The paper's first claim in numbers, read off ``analyze(g)``'s held classes:
+    isolated vertices + leaves + sum (|C| - 1) over the open classes whose
+    members are not leaves + sum (|C| - 1) over the closed classes.
+
+    All leaves at one neighbour form one open class; its chain plus one leaf
+    edge spans its k slots, which the leaf count already holds. Closed classes
+    touch only Y slots, and no vertex is in both an open and a closed class.
+    """
+    leaves = {x for x, _ in a.leaves}
+    return (
+        g.adj.count(0)
+        + len(a.leaves)
+        + sum(len(c) - 1 for c in a.open_classes if c[0] not in leaves)
+        + sum(len(c) - 1 for c in a.closed_classes)
+    )
+
+
+@st.composite
+def pendant_graphs_strategy(draw, max_n: int = 8, max_added: int = 8):
+    """A random graph plus up to ``max_added`` new vertices, each a pendant leaf
+    of, an open twin of, or a closed twin of a vertex drawn so far."""
+    g = draw(graphs_strategy(1, max_n))
+    rows = list(g.adj)
+    for _ in range(draw(st.integers(0, max_added))):
+        host = draw(st.integers(0, len(rows) - 1))
+        new = len(rows)
+        kind = draw(st.sampled_from(["leaf", "open", "closed"]))
+        row = {"leaf": 1 << host, "open": rows[host], "closed": rows[host] | 1 << host}[kind]
+        for v in bit_indices(row):
+            rows[v] |= 1 << new
+        rows.append(row)
+    return Graph(len(rows), rows)
+
+
 def reference_twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """``graphs.twin_classes`` as it was written with one int-keyed dict per twin
     kind: leaves, open classes, closed classes, in the same order."""
@@ -458,8 +493,10 @@ def check_correspondence(g: Graph) -> bool:
 
 
 def reference_report(g: Graph, a, nullity, source: str, components: bool, mode: str) -> str:
-    """``cli.format_report`` one configuration at a time: ``lie_generator`` per
-    text line, and ``json.dumps`` of a record with one dict per configuration."""
+    """``cli.format_report``'s text joined, one configuration at a time: the
+    configurations of ``reference_analysis``, ``lie_generator`` per text line,
+    and ``json.dumps`` of a record with one dict per configuration."""
+    configurations = reference_analysis(g)[0]
     holds = a.dimension == a.g2
     agrees = None if nullity is None else nullity == a.dimension
     if mode == "machine":
@@ -470,7 +507,7 @@ def reference_report(g: Graph, a, nullity, source: str, components: bool, mode: 
             "dimension": a.dimension,
             "g2": a.g2,
             "theorem_holds": holds,
-            "configurations": [{"kind": c.kind, "a": c.a, "b": c.b} for c in a.configurations],
+            "configurations": [{"kind": c.kind, "a": c.a, "b": c.b} for c in configurations],
         }
         if nullity is not None:
             record["oracle_nullity"] = nullity
@@ -480,10 +517,10 @@ def reference_report(g: Graph, a, nullity, source: str, components: bool, mode: 
     lines = [f"source: {source}", f"n: {g.n}", f"m: {g.m}", f"connected: {yes_no[a.connected]}"]
     if components:
         lines.append("mode: component-sum extension")
-    if a.configurations:
+    if configurations:
         lines.append("configurations:")
         lines += [
-            f"  {c.kind} a={c.a} b={c.b} generator {lie_generator(c)}" for c in a.configurations
+            f"  {c.kind} a={c.a} b={c.b} generator {lie_generator(c)}" for c in configurations
         ]
     else:
         lines.append("configurations: none")

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     brute_g2,
+    closed_form_dimension,
     local_complement,
     reference_brute_elements,
     reference_report,
@@ -102,7 +103,17 @@ def test_reports_match_the_reference_on_every_graph():
         a = analyze(g)
         components = not a.connected
         for mode in ("text", "machine"):
-            got = format_report(g, a, None, "graph6 G", components, mode)
+            got = "".join(format_report(g, a, None, "graph6 G", components, mode))
             if got != reference_report(g, a, None, "graph6 G", components, mode):
                 mismatches.append((encode_graph6(g), mode))
+    assert mismatches == []
+
+
+def test_dimension_in_closed_form_on_every_graph():
+    # Disconnected graphs included: each isolated vertex adds 1 to both sides.
+    mismatches = []
+    for _, g in ATLAS:
+        a = analyze(g)
+        if a.dimension != closed_form_dimension(g, a):
+            mismatches.append(encode_graph6(g))
     assert mismatches == []

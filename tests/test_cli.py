@@ -1,6 +1,7 @@
 """CLI surface: sources, reports, exit codes, determinism."""
 
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -858,6 +859,82 @@ class TestClosedPipe:
         assert (proc.wait(timeout=60), err) == (141, b"")
 
 
+class TestWriteErrors:
+    """A failed write or flush exits 74 (EX_IOERR) with one stderr line."""
+
+    @staticmethod
+    def run_cli(argv, **kwargs):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-m", "stabdim.cli", *argv],
+            stderr=subprocess.PIPE, env=env, timeout=60, **kwargs,
+        )
+
+    def test_closed_stdout(self):
+        # As `stabdim analyze --graph6 A_ >&-`: fd 1 is closed before the
+        # interpreter starts, so sys.stdout is None.
+        proc = self.run_cli(["analyze", "--graph6", "A_"], preexec_fn=lambda: os.close(1))
+        expected = f"output error: {os.strerror(errno.EBADF)}\n".encode()
+        assert (proc.returncode, proc.stderr) == (74, expected)
+
+    def test_closed_stdout_keeps_a_usage_error(self):
+        # Nothing is written, so nothing fails to be.
+        proc = self.run_cli(["analyze"], preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"usage error: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "path", "--n", "3"],
+            ["analyze", "--family", "star", "--n", "3000", "--format", "machine"],
+        ],
+        ids=["gen", "analyze"],
+    )
+    def test_full_device(self, argv):
+        # gen's one line fails at the final flush, analyze's report on a write.
+        with open("/dev/full", "wb") as full:
+            proc = self.run_cli(argv, stdout=full)
+        expected = f"output error: {os.strerror(errno.ENOSPC)}\n".encode()
+        assert (proc.returncode, proc.stderr) == (74, expected)
+
+
+class TestStreamedReport:
+    # Building the star's 44551 pairs as records and the report as one string
+    # peaks near 9 MB (machine) and 12 MB (text); one class head's chunk and one
+    # 64 KiB block stay well under 1 MiB. The digests are the bytes the report
+    # had when it was built from the pair list.
+    @pytest.mark.parametrize(
+        "mode,digest",
+        [
+            ("machine", "0976a9a747c45abaf667468bf068405fad8cd80e4d2653e8ae93204c95c8f823"),
+            ("text", "6a058f9656b879dc35217386460841e88bc08c8a9e3697137700dc0ff242aa18"),
+        ],
+        ids=["machine", "text"],
+    )
+    def test_star_report_is_written_a_class_head_at_a_time(self, monkeypatch, mode, digest):
+        class Sink(io.TextIOBase):
+            sha = hashlib.sha256()
+
+            def write(self, text):
+                self.sha.update(text.encode())
+                return len(text)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = run(["analyze", "--family", "star", "--n", "300", "--format", mode])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20
+        assert sink.sha.hexdigest() == digest
+
+
 class TestReportMatchesReference:
     """``format_report`` gives the reference's bytes, in both modes."""
 
@@ -865,7 +942,7 @@ class TestReportMatchesReference:
     def assert_same(g, nullity, components):
         a = analyze(g)
         for mode in ("text", "machine"):
-            got = cli.format_report(g, a, nullity, "graph6 G", components, mode)
+            got = "".join(cli.format_report(g, a, nullity, "graph6 G", components, mode))
             assert got == reference_report(g, a, nullity, "graph6 G", components, mode)
 
     @given(graphs_strategy(max_n=10), st.booleans(), st.booleans())
@@ -895,8 +972,8 @@ class TestReportMatchesReference:
         g = generate("complete", 2)
         for nullity in (None, 3):
             self.assert_same(g, nullity, False)
-        assert "theorem_holds: no (expected boundary for n = 2)\n" in cli.format_report(
-            g, analyze(g), None, "graph6 A_", False
+        assert "theorem_holds: no (expected boundary for n = 2)\n" in "".join(
+            cli.format_report(g, analyze(g), None, "graph6 A_", False)
         )
 
     @pytest.mark.parametrize("family,p", [("complete", None), ("star", None), ("gnp", 0.9)])

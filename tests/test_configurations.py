@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    closed_form_dimension,
     coefficient_vector_row,
     connected_graphs_strategy,
     corresponding_stabilizer_element,
     graph_generators,
     is_stabilized,
+    pendant_graphs_strategy,
     rational_rank,
     relabel,
     slot_coefficient_vector,
@@ -23,6 +25,7 @@ from stabdim.configurations import (
     analyze,
     components_with_configurations,
     detect_configurations,
+    iter_configurations,
     lie_generator,
     slot_span_rank,
     stabilizer_dimension,
@@ -188,3 +191,24 @@ class TestComponents:
             assert {c.a, c.b} <= {1, 2, 3, 4, 5}
         assert Configuration(LEAF, 1, 4) in configs
         assert Configuration(LEAF, 4, 1) in configs
+
+
+class TestHeldClasses:
+    @given(pendant_graphs_strategy())
+    @settings(max_examples=300)
+    def test_dimension_in_closed_form(self, g):
+        # The union-find stays the route; the closed form checks the held classes.
+        a = analyze(g)
+        assert a.dimension == closed_form_dimension(g, a)
+
+    @given(pendant_graphs_strategy())
+    @settings(max_examples=100)
+    def test_configurations_count_from_the_classes(self, g):
+        a = analyze(g)
+        pairs = sum(len(c) * (len(c) - 1) // 2 for c in a.open_classes + a.closed_classes)
+        assert len(list(iter_configurations(a))) == len(a.leaves) + pairs
+
+    def test_star_holds_one_class(self):
+        a = analyze(generate("star", 300))
+        assert (len(a.leaves), a.open_classes, a.closed_classes) == (299, [list(range(1, 300))], [])
+        assert a.dimension == 299

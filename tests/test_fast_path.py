@@ -15,6 +15,7 @@ from stabdim.configurations import (
     analyze,
     components_with_configurations,
     detect_configurations,
+    iter_configurations,
     lie_generator,
     slot_span_rank,
     stabilizer_dimension,
@@ -28,7 +29,7 @@ def check_against_reference(g):
     elements = reference_fast_elements(g)
     a = analyze(g)
     assert a.connected
-    assert a.configurations == configs
+    assert list(iter_configurations(a)) == configs
     assert a.dimension == slot_span_rank(lie_generator(c) for c in configs)
     assert a.g2 == g2_rank(e for e, _ in elements)
     assert low_weight_elements(g, mode="fast") == elements
@@ -56,7 +57,7 @@ def test_every_connected_labeled_graph(n):
 def test_random_corpus(random_corpus):
     for g in random_corpus:
         check_against_reference(g)
-        assert detect_configurations(g) == analyze(g).configurations
+        assert detect_configurations(g) == list(iter_configurations(analyze(g)))
         assert stabilizer_dimension(g) == analyze(g).dimension
 
 
@@ -85,7 +86,7 @@ def test_disjoint_unions(random_corpus):
         configs, dimension, g2 = reference_analysis(g)
         a = analyze(g)
         assert a.connected is False
-        assert (a.configurations, a.dimension, a.g2) == (configs, dimension, g2)
+        assert (list(iter_configurations(a)), a.dimension, a.g2) == (configs, dimension, g2)
         assert analyze(g).dimension == dimension
         assert components_with_configurations(g) == (dimension, configs)
 
