@@ -1,22 +1,28 @@
-"""Command-line front end.
+"""Command-line front end of stabdim: one command per task.
 
-Subcommands: ``analyze`` (configuration fast path), ``verify`` (fast path
-plus exact oracle), ``enumerate`` (weight-<=2 stabilizer elements), ``gen``
-(emit a family or seeded random graph), ``selftest`` (built-in worked
-examples).
+An option takes its value as --opt value or --opt=value, and a unique prefix
+of its name stands for it (--form machine). Given twice, the last value wins.
+A value that starts with "-" is read as one only if it looks like a negative
+number (--seed -5). analyze, verify and enumerate read one input: --file,
+--graph6, or --family with --n. "stabdim <command> --help" lists a command's
+options.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 constraint violation
-(disconnected input without --components, size caps), 4 internal consistency
-failure (a route disagreement, which always means a bug), 74 output error (a
-write to stdout failed), 141 the reader closed stdout early.
+Exit codes:
+  0    success
+  1    usage error
+  2    parse error
+  3    constraint violation (disconnected input without --components, size caps)
+  4    internal consistency failure (a route disagreement, which always means a bug)
+  74   output error (a write to stdout failed)
+  141  the reader closed stdout early
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterator
+from types import SimpleNamespace
 
 from . import oracle
 from .configurations import (
@@ -258,8 +264,7 @@ def _cmd_enumerate(args) -> int:
         check_elements(g, results["brute"], results["fast"])
     elements = results[modes[0]]
     width = f"0{g.n}b"
-    for e, p in elements:
-        sys.stdout.write(f"{format(e, width)[::-1]} {p}\n")
+    sys.stdout.writelines(_blocks(f"{format(e, width)[::-1]} {p}\n" for e, p in elements))
     return 0
 
 
@@ -296,47 +301,182 @@ def _cmd_selftest(args) -> int:
     return 0 if all(passed for _, passed in checks) else 4
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+# The command-line grammar, the one owner of every command and option: each
+# command's handler, help line and options. An option is (kind, default, help),
+# where kind is int, float or str (the value is converted with it), a tuple of
+# choices, or bool (a flag). The parser, the defaults and the help all read it.
+_SOURCE = {
+    "--file": (str, None, "edge-list file path"),
+    "--graph6": (str, None, "graph6 string"),
+}
+_FAMILY = {
+    "--family": (FAMILIES, None, "named graph family"),
+    "--n": (int, None, "vertex count for --family"),
+    "--p": (float, None, "edge probability (gnp only)"),
+    "--seed": (int, 0, "PRNG seed (tree/gnp)"),
+}
+_REPORT = {
+    **_SOURCE,
+    **_FAMILY,
+    "--components": (bool, False, "sum over components"),
+    "--format": (("text", "machine"), "text", "report format"),
+}
+COMMANDS = {
+    "analyze": (_cmd_analyze, "configuration fast path", _REPORT),
+    "verify": (_cmd_verify, "fast path plus exact oracle", {
+        **_REPORT,
+        "--oracle-max-n": (
+            int, DEFAULT_ORACLE_CAP, f"largest n for the oracle, at most {ORACLE_CEILING}"
+        ),
+    }),
+    "enumerate": (_cmd_enumerate, "list weight-<=2 stabilizer elements", {
+        **_SOURCE,
+        **_FAMILY,
+        "--mode": (("brute", "fast", "both"), "both", "route that lists the elements"),
+    }),
+    "gen": (_cmd_gen, "emit a family or seeded random graph", {
+        **_FAMILY,
+        "--format": (("graph6", "edge-list"), "graph6", "output format"),
+    }),
+    "selftest": (_cmd_selftest, "run the built-in worked examples", {}),
+}
+_HELP = ("-h", "--help")
 
 
-def _add_source_options(parser, include_file=True):
-    if include_file:
-        parser.add_argument("--file", help="edge-list file path")
-        parser.add_argument("--graph6", help="graph6 string")
-    parser.add_argument("--family", choices=FAMILIES, help="named graph family")
-    parser.add_argument("--n", type=int, help="vertex count for --family")
-    parser.add_argument("--p", type=float, help="edge probability (gnp only)")
-    parser.add_argument("--seed", type=int, default=0, help="PRNG seed (tree/gnp)")
+def _parse(argv: list[str]):
+    """``(handler, its argument)`` for a command line, read as argparse reads it,
+    with its wording for the first fault (a UsageError). ``-h`` or ``--help``
+    gives ``(_help, command)``, command None if it comes before any command."""
+    extras = []
+    readings = _read(argv, _HELP)
+    for i, (word, reading) in enumerate(zip(argv, readings)):
+        # A "--" with words after it is read as the command, as argparse reads it.
+        if reading is None or (word == "--" and i + 1 < len(argv)):
+            if word not in COMMANDS:
+                raise UsageError(f"argument command: {_invalid(word, COMMANDS)}")
+            return _parse_options(word, argv[i + 1 :], extras)
+        if reading[0] is None:
+            extras.append(word)
+        else:
+            _check_help(*reading)
+            return _help, None
+    raise UsageError("the following arguments are required: command")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="stabdim", description=__doc__, add_help=True)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse_options(command: str, words: list[str], extras: list[str]):
+    handler, _, options = COMMANDS[command]
+    values = {name: default for name, (_, default, _) in options.items()}
+    readings = _read(words, (*_HELP, *options))
+    i = 0
+    while i < len(words):
+        word, reading = words[i], readings[i]
+        i += 1
+        if reading is None or reading[0] is None:
+            extras.append(word)
+            continue
+        name, value = reading
+        if name in _HELP:
+            _check_help(name, value)
+            return _help, command
+        kind = options[name][0]
+        if kind is bool:
+            if value is not None:
+                raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if value is None:
+                if i == len(words) or readings[i] is not None:
+                    raise UsageError(f"argument {name}: expected one argument")
+                value, i = words[i], i + 1
+            value = _convert(name, kind, value)
+        values[name] = value
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return handler, SimpleNamespace(**{name[2:].replace("-", "_"): v for name, v in values.items()})
 
-    analyze = sub.add_parser("analyze", help="configuration fast path")
-    verify = sub.add_parser("verify", help="fast path plus exact oracle")
-    for report, func in ((analyze, _cmd_analyze), (verify, _cmd_verify)):
-        _add_source_options(report)
-        report.add_argument("--components", action="store_true", help="sum over components")
-        report.add_argument("--format", choices=("text", "machine"), default="text")
-        report.set_defaults(func=func)
-    verify.add_argument("--oracle-max-n", type=int, default=DEFAULT_ORACLE_CAP)
 
-    enum = sub.add_parser("enumerate", help="list weight-<=2 stabilizer elements")
-    _add_source_options(enum)
-    enum.add_argument("--mode", choices=("brute", "fast", "both"), default="both")
-    enum.set_defaults(func=_cmd_enumerate)
+def _read(words: list[str], names) -> list:
+    """Each word's reading against the option ``names``, all before any is
+    used: None for a value, else ``(option, its "=" value or None)``, option
+    None if no name matches. After a ``--`` every word is a value."""
+    readings = []
+    for i, word in enumerate(words):
+        if word == "--":
+            return readings + [(None, None)] + [None] * (len(words) - i - 1)
+        readings.append(_reading(word, names))
+    return readings
 
-    gen = sub.add_parser("gen", help="emit a family or seeded random graph")
-    _add_source_options(gen, include_file=False)
-    gen.add_argument("--format", choices=("graph6", "edge-list"), default="graph6")
-    gen.set_defaults(func=_cmd_gen)
 
-    selftest = sub.add_parser("selftest", help="run the built-in worked examples")
-    selftest.set_defaults(func=_cmd_selftest)
-    return parser
+def _reading(word: str, names):
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in names:
+        return word, None
+    head, eq, value = word.partition("=")
+    if eq and head in names:
+        return head, value
+    if word[1] == "-":
+        # A unique prefix of a long option names it.
+        found = [(name, value if eq else None) for name in names if name.startswith(head)]
+    else:
+        found = [(name, word[2:]) for name in names if name == word[:2]]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {word} could match {', '.join(n for n, _ in found)}")
+    if found:
+        return found[0]
+    # A word that looks like a negative number (argparse's -\d+$ or -\d*\.\d+$,
+    # whose $ also matches before a final newline) or holds a space is a value.
+    whole, dot, fraction = word[1:].removesuffix("\n").partition(".")
+    if dot:
+        negative = fraction.isdecimal() and (not whole or whole.isdecimal())
+    else:
+        negative = whole.isdecimal()
+    return None if negative or " " in word else (None, None)
+
+
+def _check_help(name: str, value: str | None) -> None:
+    if name == "-h" and value:
+        # "-hh" is -h twice; other text after -h is refused.
+        value = value.lstrip("h") or None
+    if value is not None:
+        raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _convert(name: str, kind, value: str):
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise UsageError(f"argument {name}: {_invalid(value, kind)}")
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
+
+
+def _invalid(value: str, choices) -> str:
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _help(command: str | None) -> int:
+    """The usage line, then the module docstring and the commands, or one command's options."""
+    if command is None:
+        head = f"usage: stabdim <command> [options]\n\n{__doc__ or ''}\ncommands:\n"
+        rows = [(name, line) for name, (_, line, _) in COMMANDS.items()]
+    else:
+        _, line, options = COMMANDS[command]
+        head = f"usage: stabdim {command} [options]\n\n{line}\n\noptions:\n"
+        rows = [("-h, --help", "show this help and exit")]
+        for name, (kind, default, text) in options.items():
+            if isinstance(kind, tuple):
+                name += " {" + ",".join(kind) + "}"
+            elif kind is not bool:
+                name += " " + name[2:].upper().replace("-", "_")
+            if default is not None and default is not False:
+                text += f" (default: {default})"
+            rows.append((name, text))
+    width = max(len(left) for left, _ in rows) + 2
+    sys.stdout.write(head + "".join(f"  {left:<{width}}{right}\n" for left, right in rows))
+    return 0
 
 
 # Each failure type's stderr label and exit code.
@@ -351,10 +491,8 @@ _FAILURES = {
 def run(argv=None) -> int:
     """Execute one subcommand; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit:  # --help; every other parser exit raises UsageError
-        return 0
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except tuple(_FAILURES) as exc:
         label, code = _FAILURES[type(exc)]
         print(f"{label}: {exc}", file=sys.stderr)

@@ -24,6 +24,8 @@ from .graphs import Graph, bit_indices, graph6_detail
 _SIGNS = ("+", "+i", "-", "-i")
 # Letter of one qubit, indexed by x_bit | z_bit << 1.
 _LETTERS = "IXZY"
+# A hex digit d of base-4 letter indices holds two qubits: the lower one in d & 3.
+_HEX_LETTERS = str.maketrans({f"{d:x}": _LETTERS[d & 3] + _LETTERS[d >> 2] for d in range(16)})
 
 
 class PauliString(namedtuple("PauliString", "n x z phase_exp")):
@@ -49,7 +51,13 @@ class PauliString(namedtuple("PauliString", "n x z phase_exp")):
         return _LETTERS[(self.x >> qubit) & 1 | ((self.z >> qubit) & 1) << 1]
 
     def letters(self) -> str:
-        return "".join(self.letter(a) for a in range(self.n))
+        # Read as base 4, the binary digits of x and z put bit a at base-4 digit a,
+        # so digit a of the sum is qubit a's index into _LETTERS; its hex digits,
+        # lowest first, are two qubits each. Base 4 is a power of two, so int(s, 4)
+        # has no digit limit, unlike int(s) past 4300 digits since Python 3.11.
+        n = self.n
+        indices = int(format(self.x, "b"), 4) + 2 * int(format(self.z, "b"), 4)
+        return format(indices, f"0{(n + 1) // 2}x")[::-1].translate(_HEX_LETTERS)[:n]
 
     def sign(self) -> str:
         # Each Y qubit holds X*Z = -i*Y, so the displayed phase gains i**3 per Y.

@@ -408,6 +408,11 @@ def graph_generators(g: Graph) -> list[PauliString]:
     return [PauliString(g.n, 1 << i, g.adj[i], 0) for i in range(g.n)]
 
 
+def reference_letters(p: PauliString) -> str:
+    """One letter per qubit, qubit 0 leftmost, looked up one qubit at a time."""
+    return "".join(p.letter(a) for a in range(p.n))
+
+
 def reference_element(gens: list[PauliString], exponents: int) -> PauliString:
     """Product of ``gens[i]`` over the set bits of ``exponents`` as a chain of
     ``multiply`` calls from the identity, one PauliString per factor."""

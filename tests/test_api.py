@@ -139,9 +139,10 @@ def test_pauli_phase_is_reduced_mod_4():
 
 def test_importing_the_cli_loads_no_heavy_module():
     # Every CLI job pays its imports: no module in src/ imports fractions,
-    # the machine report is formatted without json, and the records need no
-    # dataclasses. The library verdict with the oracle loads none of them either.
-    heavy = ["dataclasses", "inspect", "fractions", "decimal", "json"]
+    # the machine report is formatted without json, the records need no
+    # dataclasses, and the command line is read without argparse (or the
+    # gettext it loads). The library verdict with the oracle loads none of them either.
+    heavy = ["dataclasses", "inspect", "fractions", "decimal", "json", "argparse", "gettext"]
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import stabdim.cli; "
         "stabdim.cli.run(['analyze', '--graph6', 'A_', '--format', 'machine']); "

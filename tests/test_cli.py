@@ -1,6 +1,5 @@
 """CLI surface: sources, reports, exit codes, determinism."""
 
-import argparse
 import errno
 import hashlib
 import io
@@ -192,14 +191,9 @@ class TestVerify:
         assert "cap" in err
 
     def test_options_are_analyzes_plus_the_oracle_cap(self):
-        subcommands = next(
-            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        ).choices
-
-        def options(name):
-            return [s for a in subcommands[name]._actions for s in a.option_strings]
-
-        assert options("verify") == options("analyze") + ["--oracle-max-n"]
+        analyze, verify = (cli.COMMANDS[name][2] for name in ("analyze", "verify"))
+        assert list(verify) == [*analyze, "--oracle-max-n"]
+        assert all(verify[name] == spec for name, spec in analyze.items())
 
     def test_cap_can_be_raised(self, capsys):
         code, out, _ = run_capture(
@@ -832,6 +826,113 @@ class TestErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestGrammar:
+    """The command line reads as argparse read it, with its wording for each fault."""
+
+    MACHINE = ["analyze", "--graph6", "A_", "--format", "machine"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--graph6=A_", "--format=machine"],
+            ["analyze", "--graph6=A_", "--form", "machine"],
+            ["analyze", "--g", "A_", "--fo=machine"],
+            ["analyze", "--graph6", "B_", "--graph6", "A_",
+             "--format", "text", "--format", "machine"],
+        ],
+        ids=["equals", "prefix", "prefix-equals", "last-wins"],
+    )
+    def test_forms_give_the_same_bytes(self, capsys, argv):
+        expected = run_capture(capsys, self.MACHINE)
+        assert expected[0] == 0
+        assert run_capture(capsys, argv) == expected
+
+    def test_explicit_marker_is_a_value(self, capsys):
+        # argparse dropped an explicit "--" and failed on the empty value it left.
+        assert run_capture(capsys, ["analyze", "--graph6=--"])[0] == 2
+        assert run_capture(capsys, ["analyze", "--n=--"]) == (
+            1, "", "usage error: argument --n: invalid int value: '--'\n"
+        )
+
+    def test_negative_number_is_a_value(self, capsys):
+        argv = ["gen", "--family", "tree", "--n", "6"]
+        code, out, err = run_capture(capsys, [*argv, "--seed", "-5"])
+        assert (code, err) == (0, "")
+        assert run_capture(capsys, [*argv, "--seed=-5"]) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["analyze", "--f", "x"],
+             "ambiguous option: --f could match --file, --family, --format"),
+            (["analyze", "--graph6", "-x"], "argument --graph6: expected one argument"),
+            (["analyze", "--graph6"], "argument --graph6: expected one argument"),
+            (["analyze", "--graph6", "A_", "--components=1"],
+             "argument --components: ignored explicit argument '1'"),
+            (["analyze", "--graph6", "A_", "extra"], "unrecognized arguments: extra"),
+            (["--bogus", "analyze", "--graph6", "A_", "extra"],
+             "unrecognized arguments: --bogus extra"),
+            (["analyze", "--graph6", "A_", "--format", "json"],
+             "argument --format: invalid choice: 'json' (choose from 'text', 'machine')"),
+            (["enumerate", "--graph6", "A_", "--mode", "all"],
+             "argument --mode: invalid choice: 'all' (choose from 'brute', 'fast', 'both')"),
+            (["frobnicate"],
+             "argument command: invalid choice: 'frobnicate' "
+             "(choose from 'analyze', 'verify', 'enumerate', 'gen', 'selftest')"),
+            (["analyze", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["analyze", "--family", "gnp", "--n", "4", "--p=x"],
+             "argument --p: invalid float value: 'x'"),
+            ([], "the following arguments are required: command"),
+            (["analyze", "--format", "json", "--help"],
+             "argument --format: invalid choice: 'json' (choose from 'text', 'machine')"),
+            (["analyze", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+            (["analyze", "--graph6", "A_", "--", "--format", "machine"],
+             "unrecognized arguments: -- --format machine"),
+            (["--", "analyze"],
+             "argument command: invalid choice: '--' "
+             "(choose from 'analyze', 'verify', 'enumerate', 'gen', 'selftest')"),
+        ],
+        ids=[
+            "ambiguous", "dash-value", "no-value", "flag-value", "stray", "stray-before-command",
+            "choice", "mode-choice", "command", "int", "float", "nothing", "error-before-help",
+            "help-with-text", "after-marker", "marker-as-command",
+        ],
+    )
+    def test_faults(self, capsys, argv, err):
+        assert run_capture(capsys, argv) == (1, "", f"usage error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["-h"], ["analyze", "--bogus", "-h"], ["gen", "extra", "--he"]],
+        ids=["help", "h", "after-stray-option", "prefix-after-stray-word"],
+    )
+    def test_help_before_any_fault(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: stabdim")
+
+    def test_top_level_help(self, capsys):
+        code, out, _ = run_capture(capsys, ["--help"])
+        assert code == 0
+        assert cli.__doc__ in out
+        commands = out.split("\ncommands:\n")[1].splitlines()
+        assert [line.split()[0] for line in commands] == list(cli.COMMANDS)
+        assert "  74 " in out and "  141 " in out
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "enumerate", "gen", "selftest"])
+    def test_command_help_lists_the_table(self, capsys, command):
+        code, out, _ = run_capture(capsys, [command, "--help"])
+        assert code == 0
+        assert out.startswith(f"usage: stabdim {command} ")
+        rows = out.split("\noptions:\n")[1].splitlines()
+        assert [row.split()[0] for row in rows] == ["-h,", *cli.COMMANDS[command][2]]
+        for row, (kind, default, _) in zip(rows[1:], cli.COMMANDS[command][2].values()):
+            if isinstance(kind, tuple):
+                assert "{" + ",".join(kind) + "}" in row
+            if default is not None and default is not False:
+                assert row.endswith(f"(default: {default})")
 
 
 class TestClosedPipe:

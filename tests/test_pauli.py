@@ -14,6 +14,7 @@ from helpers import (
     is_stabilized,
     multiply,
     reference_element,
+    reference_letters,
 )
 from stabdim import pauli
 from stabdim.errors import ConsistencyError, ConstraintError
@@ -88,6 +89,19 @@ class TestRendering:
     def test_letter_lookup(self):
         p = PauliString(4, 0b0011, 0b0101, 1)
         assert p.letters() == "YXZI"
+
+    @given(st.integers(1, 80).flatmap(pauli_strategy))
+    @settings(max_examples=300)
+    def test_letters_match_the_per_qubit_lookup(self, p):
+        assert p.letters() == reference_letters(p)
+
+    def test_letters_past_the_decimal_digit_limit(self):
+        # 5000 qubits are more base-4 digits than int() takes in base 10 since Python 3.11.
+        n = 5000
+        x, z = int("10" * (n // 2), 2), int("1100" * (n // 4), 2)
+        p = PauliString(n, x, z)
+        assert p.letters() == reference_letters(p)
+        assert p.letters()[:4] == "IXZY"
 
 
 class TestGenerators:
