@@ -9,11 +9,11 @@ Two text formats are supported:
 * DIMACS-like edge lists: ``c`` comment lines, exactly one ``p edge <n> <m>``
   line (first non-comment line), then exactly ``m`` lines ``e <u> <v>`` with
   1-based endpoints, ``u != v``, no duplicates. ``n`` above
-  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. Runs
-  of canonical ``e`` lines (``encode_edge_list``'s layout, LF or CRLF
-  endings) are parsed in bulk wherever they occur, every other line one at a
-  time; an input with an error is parsed again line by line. Either way the
-  result is the same graph or the same message.
+  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. Slices
+  whose every line is canonical (``encode_edge_list``'s layout, LF or CRLF)
+  are parsed in bulk: dense lists by row sums and one transposition, sparse
+  ones by per-edge ORs. Other slices, and an input with an error, are parsed
+  line by line. Either way the result is the same graph or the same message.
 * graph6, one-byte size form only (1 <= n <= 62): printable bytes 63..126
   carrying 6 bits each, upper-triangle adjacency bits in column-major order
   (0,1), (0,2), (1,2), (0,3), ...  The multi-byte size forms (leading byte
@@ -36,6 +36,7 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import groupby, islice
 
 from .errors import ConstraintError, GraphParseError
 
@@ -126,18 +127,17 @@ class Graph(namedtuple("Graph", "n adj")):
         return Graph.from_edges(len(vertices), kept)
 
 
-# A run of ``e <u> <v>`` lines as ``encode_edge_list`` writes them, LF or CRLF,
-# read about 3000 lines a slice: that bounds the token lists alive at once, so
-# a dense file costs no more memory than its rows.
-_E_RUN = r"(?:e [0-9]+ [0-9]+\r?\n)+"
+# After the 'p' line (and up to it, a line at a time) lines are read a slice of
+# about _SLICE_CHARS characters at a time, each ending at a line end: that bounds
+# the token lists alive at once, so a dense file costs no more memory than its rows.
 _SLICE_CHARS = 1 << 15
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the DIMACS-like edge-list format (see module docstring).
 
-    Runs of canonical ``e`` lines (LF or CRLF) are parsed in bulk wherever they
-    occur, every other line one at a time; an input with an error is parsed
+    Slices whose every line is a canonical ``e`` line (LF or CRLF) are parsed
+    in bulk, every other slice line by line; an input with an error is parsed
     again line by line. Either way: the same graph or the same message.
     """
     try:
@@ -147,40 +147,45 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _parse_edge_list(text: str, bulk: bool) -> Graph:
-    """One pass over ``text``; with ``bulk`` off, every line meets the line rules.
+    """One pass over ``text``, a slice at a time; with ``bulk`` off, every line
+    meets the line rules.
 
-    The bulk lane looks endpoints up in a table of the canonical spellings of
-    1..n, which is also the range check, and ORs in both bits of each edge. A
-    self-loop sets at most one new bit and a duplicate none, so a popcount
-    total of 2 * edges rules both out. Other lines are cut into blocks that
-    end before the next line starting ``e <digit>``.
+    The bulk lane splits a slice as ``(slice + "e").split(" ")``, end of text
+    counting as a line end: its lines are all ``e <u> <v>\\n`` iff each odd token
+    is a key of ``odd`` (the spellings of 1..n) and each even one of ``even``
+    (those plus ``\\ne``). A miss sends the slice through the line rules. Dense
+    lists sum the bits of each run of one u into ``rows[u]`` (OR them one by one
+    where runs are short) and transpose once at the end; sparse ones OR in both
+    bits of each edge. A self-loop or duplicate sets fewer bits than it counts
+    (a carrying sum has fewer bits than terms): a popcount of 2 * edges rules both out.
     """
-    import re
-
-    e_run = re.compile(_E_RUN).match
-    block_end = re.compile(r"\n(?=e [0-9])").search
-    n = m = vertex = None
+    n = m = odd = dense = None
     rows: list[int] = []
     found = lineno = pos = 0
     while pos < len(text):
-        if bulk and n is not None:
-            run = e_run(text, pos, text.find("\n", pos + _SLICE_CHARS) + 1 or len(text))
-            if run is not None:
-                if vertex is None:
-                    vertex = {str(v + 1): v for v in range(n)}.__getitem__
-                tokens = text[pos:run.end()].split()
-                try:
-                    for u, v in zip(map(vertex, tokens[1::3]), map(vertex, tokens[2::3])):
+        stop = text.find("\n", pos + (_SLICE_CHARS if n else 0)) + 1 or len(text)
+        if odd and text.startswith("e ", pos):
+            tokens = (text[pos:stop].replace("\r\n", "\n").removesuffix("\n") + "\ne").split(" ")
+            try:
+                us = [*map(odd.__getitem__, tokens[1::2])]
+                vs = [*map(even.__getitem__, tokens[2::2])]
+            except KeyError:
+                pass
+            else:
+                cap = len(us) // 8  # a run costs about 8 edges' ORs
+                if not dense:
+                    for u, v in zip(us, vs):
                         rows[u] |= 1 << v
                         rows[v] |= 1 << u
-                except KeyError:
-                    raise GraphParseError("endpoint not a canonical 1..n") from None
-                found += len(tokens) // 3
-                lineno += len(tokens) // 3
-                pos = run.end()
+                elif len(runs := [(u, len([*r])) for u, r in islice(groupby(us), cap)]) < cap:
+                    vs_left = iter(vs)  # vs holds bits, summed once per run
+                    for u, k in runs:
+                        rows[u] |= sum(islice(vs_left, k))
+                else:  # many short runs: lines out of order
+                    for u, bit in zip(us, vs):
+                        rows[u] |= bit
+                found, lineno, pos = found + len(vs), lineno + len(vs), stop
                 continue
-        cut = bulk and block_end(text, pos)
-        stop = cut.end() if cut else len(text)
         # Lines end at \n, \r\n or \r only, as in the bulk lane and open().
         for raw in io.StringIO(text[pos:stop], newline=""):
             lineno += 1
@@ -206,6 +211,12 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
                         f"line {lineno}: edge lists cap at n={EDGE_LIST_MAX_N}, got n={n}"
                     )
                 rows = [0] * n
+                if bulk and len(text) >= n:  # tables in proportion to the input
+                    dense = 8 * m >= n * n and len(text) >= 6 * m  # and room for m lines
+                    names = [*map(str, range(1, n + 1))]
+                    odd = dict(zip(names, range(n)))
+                    bits = map((1).__lshift__, range(n)) if dense else range(n)
+                    even = dict(zip([v + "\ne" for v in names], bits))
             elif kind == "e":
                 if n is None:
                     raise GraphParseError(f"line {lineno}: 'e' line before 'p' line")
@@ -229,10 +240,14 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
         pos = stop
     if n is None:
         raise GraphParseError("missing 'p edge <n> <m>' line")
-    if vertex is not None and sum(row.bit_count() for row in rows) != 2 * found:
-        raise GraphParseError("self-loop or duplicate edge in a bulk run")
     if found != m:
         raise GraphParseError(f"'p' line declares {m} edges, found {found}")
+    # A carry past bit n - 1 would misalign the bit strings; it leaves the rows short.
+    if dense and not max(rows) >> n:
+        bits = "".join([format(row, f"0{n}b") for row in rows])
+        rows = [row | int(bits[n - 1 - v :: n][::-1], 2) for v, row in enumerate(rows)]
+    if odd and sum(row.bit_count() for row in rows) != 2 * found:
+        raise GraphParseError("self-loop or duplicate edge in a bulk run")
     return Graph._from_symmetric_rows(n, rows)
 
 

@@ -156,6 +156,23 @@ def test_importing_the_cli_loads_no_heavy_module():
     assert out.splitlines()[-1] == "[]"
 
 
+def test_parsing_an_edge_list_loads_no_regex_module(tmp_path):
+    # The edge-list parser checks its canonical slices with two lookup tables,
+    # not a regex: under -S (no site hook importing re first), `analyze --file`
+    # loads neither re nor the enum it imports.
+    path = tmp_path / "p3.edges"
+    path.write_text("p edge 3 2\ne 1 2\ne 2 3\n", encoding="utf-8")
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import stabdim.cli; "
+        f"stabdim.cli.run(['analyze', '--file', {str(path)!r}, '--format', 'machine']); "
+        "print(sorted(m for m in ['re', 'enum'] if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def _package_imports() -> dict[str, set[str]]:
     """Each ``stabdim`` module and the package modules its relative imports name."""
     imports = {}

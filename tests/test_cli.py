@@ -676,6 +676,22 @@ class TestEdgeListCeiling:
         assert (code, out) == (3, "")
         assert err.startswith("constraint violation: line 1: edge lists cap at n=65536")
 
+    def test_lying_edge_count_is_refused_in_bounded_memory(self, capsys, tmp_path):
+        # 8 * m >= n * n declares a dense list, but 30 characters hold no 600M
+        # lines: no lookup or bit table is built on the 'p' line's word, only
+        # the 0.5 MiB of rows.
+        path = tmp_path / "lying.col"
+        path.write_text("p edge 65536 600000000\ne 1 2\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run_capture(capsys, ["analyze", "--file", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == "parse error: 'p' line declares 600000000 edges, found 1\n"
+        assert peak < 2 * 2**20
+
 
 class TestByteOrderMark:
     """One leading U+FEFF in a --file edge list is dropped; anywhere else it is text."""

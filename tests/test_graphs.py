@@ -336,12 +336,14 @@ class TestEdgeList:
     @settings(max_examples=60)
     def test_canonical_layout_takes_the_bulk_path(self, g, slice_chars):
         # The line rules read each endpoint with int(); the bulk lane reads
-        # them from its table, so only the 'p' line's two counts call int().
+        # them from its tables, so only the 'p' line's two counts call int()
+        # with one argument (the dense lane's transposition calls int(s, 2)).
         calls = []
 
-        def counting_int(token):
-            calls.append(token)
-            return int(token)
+        def counting_int(token, *base):
+            if not base:
+                calls.append(token)
+            return int(token, *base)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
@@ -351,10 +353,11 @@ class TestEdgeList:
             patch.setattr(graphs, "int", counting_int, raising=False)
             assert graphs._parse_edge_list(text, True) == g
             assert len(calls) == 2
-            # Without the final newline the last 'e' line goes through the line rules.
+            # End of text is a line end, so a last 'e' line without its
+            # newline is read from the tables too.
             calls.clear()
             assert graphs._parse_edge_list(text.rstrip("\n"), True) == g
-            assert len(calls) == 2 + 2 * bool(g.m)
+            assert len(calls) == 2
 
     @given(graphs_strategy(min_n=2, max_n=10).filter(lambda g: g.m), st.data())
     @settings(max_examples=400)
@@ -418,6 +421,14 @@ class TestEdgeList:
                 assert outcome(parse_edge_list, text) == (GraphParseError, message)
         assert outcome(line_by_line, text) == (GraphParseError, message)
 
+    def test_a_carry_past_the_last_vertex_is_refused(self):
+        # A dense run of u = 1 sums 1 << 1 twice, carrying into 1 << 2, 1 << 3
+        # and so past vertex 4: the bulk pass must refuse it, not transpose it.
+        text = "p edge 4 4\ne 1 2\ne 1 2\ne 1 3\ne 1 4\n"
+        with pytest.raises(GraphParseError, match="bulk run"):
+            graphs._parse_edge_list(text, True)
+        assert outcome(parse_edge_list, text) == (GraphParseError, "line 3: duplicate edge (1, 2)")
+
     @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__)
     def test_mutations_past_the_first_slice(self, mutate):
         # 4950 lines: the mutated last line lies in the second slice.
@@ -427,21 +438,57 @@ class TestEdgeList:
         assert len(text) > graphs._SLICE_CHARS
         assert outcome(parse_edge_list, text) == outcome(line_by_line, text)
 
+    @given(
+        st.integers(20, 300),
+        # 8 * m >= n * n picks the dense lane: from p of about 1/4 up.
+        st.sampled_from((0.02, 0.1, 0.22, 0.28, 0.5, 0.9, 1.0)),
+        st.sampled_from(("canonical", "shuffled", "swapped")),
+        st.sampled_from((None, *MUTATIONS)),
+        st.sampled_from(SLICE_CHARS),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_both_lanes_agree_with_the_line_rules(self, n, p, layout, mutate, slice_chars, data):
+        # Dense and sparse lists, in canonical order, with the 'e' lines
+        # shuffled or their endpoints swapped, and each mutation (CRLF, a
+        # comment, no final newline among them) on a line next to a slice end.
+        g = generate("gnp", n, p, data.draw(st.integers(0, 2**32)))
+        lines = encode_edge_list(g).splitlines()
+        if layout == "shuffled":
+            lines[1:] = data.draw(st.permutations(lines[1:]))
+        elif layout == "swapped":
+            lines[1:] = [f"e {v} {u}" for u, v in map(_endpoints, lines[1:])]
+        text = _joined(lines)
+        if mutate and g.m:
+            starts, pos = [1], len(lines[0]) + 1  # line numbers, from 0, of slice starts
+            while pos < len(text):
+                stop = text.find("\n", pos + slice_chars) + 1 or len(text)
+                starts.append(starts[-1] + text.count("\n", pos, stop))
+                pos = stop
+            i = data.draw(st.sampled_from(starts)) - data.draw(st.integers(0, 1))
+            text = mutate(lines, min(max(i, 1), len(lines) - 1), n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+            assert outcome(parse_edge_list, text) == outcome(line_by_line, text)
+        if mutate is None:
+            assert parse_edge_list(text) == g
+
     @pytest.mark.parametrize(
         "variant",
         [lambda text: "c a DIMACS header\n" + text, lambda text: text.replace("\n", "\r\n")],
         ids=["comment", "crlf"],
     )
     def test_comment_and_crlf_inputs_peak_like_the_canonical_list(self, variant):
-        # Runs of 'e' lines are parsed in bulk wherever they occur and with
-        # either line ending, so neither a leading comment nor CRLF sends the
-        # whole text through the line rules.
+        # Slices of canonical 'e' lines are parsed in bulk wherever they occur
+        # and with either line ending, so neither a leading comment nor CRLF
+        # sends the whole text through the line rules.
         text = encode_edge_list(generate("complete", 300))
         assert parse_peak(variant(text)) <= 1.2 * parse_peak(text)
 
     def test_edgeless_list_at_the_vertex_ceiling_builds_no_vertex_table(self):
-        # The str -> vertex table is built at the first bulk run, not for n = 65536
-        # vertices up front; the rows alone take 0.5 MiB here.
+        # The lookup tables need a text of at least n characters, so none is
+        # built for n = 65536 vertices on the 'p' line's word; the rows alone
+        # take 0.5 MiB here.
         assert parse_peak(f"p edge {EDGE_LIST_MAX_N} 0\n") < 2 * 2**20
 
 
