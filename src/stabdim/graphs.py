@@ -9,11 +9,11 @@ Two text formats are supported:
 * DIMACS-like edge lists: ``c`` comment lines, exactly one ``p edge <n> <m>``
   line (first non-comment line), then exactly ``m`` lines ``e <u> <v>`` with
   1-based endpoints, ``u != v``, no duplicates. ``n`` above
-  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. Slices
-  whose every line is canonical (``encode_edge_list``'s layout, LF or CRLF)
-  are parsed in bulk: dense lists by row sums and one transposition, sparse
-  ones by per-edge ORs. Other slices, and an input with an error, are parsed
-  line by line. Either way the result is the same graph or the same message.
+  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. Runs
+  of canonical ``e`` lines (``encode_edge_list``'s layout, LF or CRLF) are
+  parsed in bulk, dense lists (8m >= n^2) one bit per edge and then one
+  transposition; other lines one at a time. An input with an error is parsed
+  again line by line: the same graph or the same message either way.
 * graph6, one-byte size form only (1 <= n <= 62): printable bytes 63..126
   carrying 6 bits each, upper-triangle adjacency bits in column-major order
   (0,1), (0,2), (1,2), (0,3), ...  The multi-byte size forms (leading byte
@@ -36,7 +36,6 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import groupby, islice
 
 from .errors import ConstraintError, GraphParseError
 
@@ -127,17 +126,16 @@ class Graph(namedtuple("Graph", "n adj")):
         return Graph.from_edges(len(vertices), kept)
 
 
-# After the 'p' line (and up to it, a line at a time) lines are read a slice of
-# about _SLICE_CHARS characters at a time, each ending at a line end: that bounds
-# the token lists alive at once, so a dense file costs no more memory than its rows.
+# The bulk lane reads a slice at a time, to the first line end past a reach of at
+# most _SLICE_CHARS characters: that bounds the token lists alive at once.
 _SLICE_CHARS = 1 << 15
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the DIMACS-like edge-list format (see module docstring).
 
-    Slices whose every line is a canonical ``e`` line (LF or CRLF) are parsed
-    in bulk, every other slice line by line; an input with an error is parsed
+    Runs of canonical ``e`` lines (LF or CRLF) are parsed in bulk wherever they
+    occur, every other line one at a time; an input with an error is parsed
     again line by line. Either way: the same graph or the same message.
     """
     try:
@@ -147,45 +145,52 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _parse_edge_list(text: str, bulk: bool) -> Graph:
-    """One pass over ``text``, a slice at a time; with ``bulk`` off, every line
-    meets the line rules.
+    """One pass over ``text``; with ``bulk`` off, every line meets the line rules.
 
-    The bulk lane splits a slice as ``(slice + "e").split(" ")``, end of text
-    counting as a line end: its lines are all ``e <u> <v>\\n`` iff each odd token
-    is a key of ``odd`` (the spellings of 1..n) and each even one of ``even``
-    (those plus ``\\ne``). A miss sends the slice through the line rules. Dense
-    lists sum the bits of each run of one u into ``rows[u]`` (OR them one by one
-    where runs are short) and transpose once at the end; sparse ones OR in both
-    bits of each edge. A self-loop or duplicate sets fewer bits than it counts
-    (a carrying sum has fewer bits than terms): a popcount of 2 * edges rules both out.
+    The bulk lane splits a slice as ``(slice + "e").split(" ")``: its first j
+    lines are ``e <u> <v>\\n`` iff their odd tokens are keys of ``odd`` (1..n
+    spelt out, so also the range check) and their even ones of ``even`` (those
+    plus ``\\ne``). Dense lists OR in one bit per edge and transpose once at the
+    end, sparse ones both bits; a self-loop or duplicate sets fewer bits than it
+    counts, so a popcount total of 2 * edges rules both out. Other lines go to
+    the line rules up to the next ``e`` line if it starts ``e <digit>`` and the
+    slices have not shrunk under 64 characters (lines that only look canonical).
     """
     n = m = odd = dense = None
     rows: list[int] = []
-    found = lineno = pos = 0
+    found, lineno, pos, reach = 0, 0, 0, _SLICE_CHARS
     while pos < len(text):
-        stop = text.find("\n", pos + (_SLICE_CHARS if n else 0)) + 1 or len(text)
-        if odd and text.startswith("e ", pos):
-            tokens = (text[pos:stop].replace("\r\n", "\n").removesuffix("\n") + "\ne").split(" ")
-            try:
-                us = [*map(odd.__getitem__, tokens[1::2])]
-                vs = [*map(even.__getitem__, tokens[2::2])]
-            except KeyError:
-                pass
+        if n and bulk and text.startswith("e ", pos) and "1" <= text[pos + 2 : pos + 3] <= "9":
+            if odd is None:  # built at the first line that may be canonical
+                odd = dict(zip(map(str, range(1, n + 1)), range(n)))
+                bits = map((1).__lshift__, range(n)) if dense else range(n)
+                even = dict(zip([v + "\ne" for v in odd], bits))
+            chunk = text[pos : text.find("\n", pos + reach) + 1 or len(text)]
+            tokens = (chunk.replace("\r\n", "\n").removesuffix("\n") + "\ne").split(" ")
+            us, vs = [], []  # extend keeps the hits before a miss
+            for hits, table, keys in (us, odd, tokens[1::2]), (vs, even, tokens[2::2]):
+                try:
+                    hits.extend(map(table.__getitem__, keys))
+                except KeyError:
+                    pass
+            j = min(len(us), len(vs))  # the slice's lines, or those before the first miss
+            rest = chunk.split("\n", j)[-1] if 2 * j + 1 < len(tokens) else ""
+            if dense:
+                for u, bit in zip(us, vs):
+                    rows[u] |= bit
             else:
-                cap = len(us) // 8  # a run costs about 8 edges' ORs
-                if not dense:
-                    for u, v in zip(us, vs):
-                        rows[u] |= 1 << v
-                        rows[v] |= 1 << u
-                elif len(runs := [(u, len([*r])) for u, r in islice(groupby(us), cap)]) < cap:
-                    vs_left = iter(vs)  # vs holds bits, summed once per run
-                    for u, k in runs:
-                        rows[u] |= sum(islice(vs_left, k))
-                else:  # many short runs: lines out of order
-                    for u, bit in zip(us, vs):
-                        rows[u] |= bit
-                found, lineno, pos = found + len(vs), lineno + len(vs), stop
+                for u, v in zip(us, vs):
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            found, lineno, pos = found + j, lineno + j, pos + len(chunk) - len(rest)
+            # Twice as far after a whole slice, else the lines read or half as far.
+            reach = min(max(len(chunk) - len(rest) << (not rest), reach >> 1), _SLICE_CHARS)
+            if not rest:
                 continue
+        stop = text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)
+        cut = text.find("\ne ", pos, stop) + 1
+        if bulk and reach >= 64 and cut and "1" <= text[cut + 2 : cut + 3] <= "9":
+            stop = cut
         # Lines end at \n, \r\n or \r only, as in the bulk lane and open().
         for raw in io.StringIO(text[pos:stop], newline=""):
             lineno += 1
@@ -211,12 +216,8 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
                         f"line {lineno}: edge lists cap at n={EDGE_LIST_MAX_N}, got n={n}"
                     )
                 rows = [0] * n
-                if bulk and len(text) >= n:  # tables in proportion to the input
-                    dense = 8 * m >= n * n and len(text) >= 6 * m  # and room for m lines
-                    names = [*map(str, range(1, n + 1))]
-                    odd = dict(zip(names, range(n)))
-                    bits = map((1).__lshift__, range(n)) if dense else range(n)
-                    even = dict(zip([v + "\ne" for v in names], bits))
+                bulk = bulk and len(text) >= n  # tables in proportion to the input
+                dense = bulk and 8 * m >= n * n and len(text) >= 6 * m  # room for m lines
             elif kind == "e":
                 if n is None:
                     raise GraphParseError(f"line {lineno}: 'e' line before 'p' line")
@@ -242,8 +243,7 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
         raise GraphParseError("missing 'p edge <n> <m>' line")
     if found != m:
         raise GraphParseError(f"'p' line declares {m} edges, found {found}")
-    # A carry past bit n - 1 would misalign the bit strings; it leaves the rows short.
-    if dense and not max(rows) >> n:
+    if odd and dense:  # 2 * n * n <= 16 * m characters, 2.7 per character of text
         bits = "".join([format(row, f"0{n}b") for row in rows])
         rows = [row | int(bits[n - 1 - v :: n][::-1], 2) for v, row in enumerate(rows)]
     if odd and sum(row.bit_count() for row in rows) != 2 * found:

@@ -1,7 +1,10 @@
 """Graph type, parsers, encoders, and deterministic generation."""
 
+import io
+import re
 import tracemalloc
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +207,13 @@ MUTATIONS = (
     trailing_space, crlf, no_final_newline, plus_sign, underscore, leading_zero,
     non_ascii_digit, e_line_first, vertex_ceiling_with_edges, other_break_in_comment,
 )
+
+# The mutations that keep a list valid when they change a canonical 'e' line.
+VALID_MUTATIONS = (
+    blank_line, comment_line, double_space, tab, trailing_space, crlf, no_final_newline,
+    plus_sign, leading_zero, non_ascii_digit,
+)
+CANONICAL_E = re.compile("e [1-9][0-9]* [1-9][0-9]*").fullmatch
 
 
 def stacked(text, n, data, count):
@@ -421,13 +431,79 @@ class TestEdgeList:
                 assert outcome(parse_edge_list, text) == (GraphParseError, message)
         assert outcome(line_by_line, text) == (GraphParseError, message)
 
-    def test_a_carry_past_the_last_vertex_is_refused(self):
-        # A dense run of u = 1 sums 1 << 1 twice, carrying into 1 << 2, 1 << 3
-        # and so past vertex 4: the bulk pass must refuse it, not transpose it.
+    def test_a_duplicate_in_a_dense_slice_is_refused(self):
+        # A dense slice ORs in one bit per edge, so the duplicate sets none:
+        # the popcount total, taken after the transposition, falls short.
         text = "p edge 4 4\ne 1 2\ne 1 2\ne 1 3\ne 1 4\n"
         with pytest.raises(GraphParseError, match="bulk run"):
             graphs._parse_edge_list(text, True)
         assert outcome(parse_edge_list, text) == (GraphParseError, "line 3: duplicate edge (1, 2)")
+
+    def test_only_the_other_lines_meet_the_line_rules(self):
+        # A comment, a blank line or an 'e' line with a trailing space inside a
+        # run of canonical lines goes through the line rules, and so does the
+        # line before a comment or a blank line, whose last token the split
+        # joins to the next line's first word; the bulk lane reads the rest.
+        # The line rules read each endpoint with int(), the 'p' line its counts.
+        g = generate("complete", 100)
+        lines = encode_edge_list(g).splitlines()
+        for i in (4000, 3000):
+            lines[i] += " "
+        for i, line in ((2500, ""), (1000, "c note"), (1, "c note")):
+            lines.insert(i, line)
+        calls = []
+
+        def counting_int(token, *base):
+            if not base:
+                calls.append(token)
+            return int(token, *base)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "int", counting_int, raising=False)
+            assert parse_edge_list(_joined(lines)) == g
+        assert len(calls) == 2 + 2 * (2 + 2)
+
+    @pytest.mark.parametrize("line_end", [" \n", "\t\n", "\n  "])
+    def test_lines_that_only_look_canonical_take_few_blocks(self, line_end):
+        # Every line starts 'e <digit>' but fails the tables: the bulk lane's
+        # slices shrink, and then the line rules take a slice's lines at once
+        # instead of one line at a time.
+        g = generate("complete", 100)
+        text = encode_edge_list(g).replace("\n", line_end)
+        blocks = []
+
+        def counting_string_io(block, newline):
+            blocks.append(block)
+            return io.StringIO(block, newline=newline)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "io", SimpleNamespace(StringIO=counting_string_io))
+            assert parse_edge_list(text) == g
+        assert g.m == 4950 and len(blocks) < 50
+
+    @given(
+        st.integers(20, 150),
+        st.sampled_from((0.1, 0.5, 1.0)),
+        st.lists(st.sampled_from(VALID_MUTATIONS), min_size=1, max_size=30),
+        st.sampled_from((*SLICE_CHARS, 100)),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_runs_broken_by_other_lines_agree_with_the_line_rules(
+        self, n, p, mutations, slice_chars, data
+    ):
+        # Up to 30 lines that are valid but not canonical, anywhere in a dense
+        # or sparse list: the same graph as the line rules give.
+        g = generate("gnp", n, p, data.draw(st.integers(0, 2**32)))
+        text = encode_edge_list(g)
+        for mutate in mutations:
+            lines = text.splitlines()
+            canonical = [i for i, line in enumerate(lines) if CANONICAL_E(line)]
+            if canonical:
+                text = mutate(lines, data.draw(st.sampled_from(canonical)), n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+            assert parse_edge_list(text) == line_by_line(text) == g
 
     @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__)
     def test_mutations_past_the_first_slice(self, mutate):
