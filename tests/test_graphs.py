@@ -465,9 +465,10 @@ class TestEdgeList:
 
     @pytest.mark.parametrize("line_end", [" \n", "\t\n", "\n  "])
     def test_lines_that_only_look_canonical_take_few_blocks(self, line_end):
-        # Every line starts 'e <digit>' but fails the tables: the bulk lane's
-        # slices shrink, and then the line rules take a slice's lines at once
-        # instead of one line at a time.
+        # A line ending in a space or a tab starts 'e <digit>' but fails the
+        # tables, so the bulk lane's slices shrink; a line starting with spaces
+        # may not be canonical at all. Either way the line rules then take a
+        # slice's lines at once instead of one line at a time.
         g = generate("complete", 100)
         text = encode_edge_list(g).replace("\n", line_end)
         blocks = []
