@@ -232,15 +232,18 @@ def _report(g: Graph, source: str, args, with_oracle: bool) -> int:
     return 0
 
 
-def _blocks(chunks, size: int = 1 << 16) -> Iterator[str]:
-    """``chunks`` joined into blocks of about ``size`` characters, so a writer
-    holds one block at a time and an unbuffered stdout (``PYTHONUNBUFFERED``)
-    still makes one write per block, not one per chunk."""
+_BLOCK_CHARS = 1 << 16
+
+
+def _blocks(chunks) -> Iterator[str]:
+    """``chunks`` joined into blocks of about ``_BLOCK_CHARS`` characters, so a
+    writer holds one block at a time and an unbuffered stdout
+    (``PYTHONUNBUFFERED``) still makes one write per block, not one per chunk."""
     block, held = [], 0
     for chunk in chunks:
         block.append(chunk)
         held += len(chunk)
-        if held >= size:
+        if held >= _BLOCK_CHARS:
             yield "".join(block)
             block, held = [], 0
     yield "".join(block)

@@ -9,11 +9,11 @@ Two text formats are supported:
 * DIMACS-like edge lists: ``c`` comment lines, exactly one ``p edge <n> <m>``
   line (first non-comment line), then exactly ``m`` lines ``e <u> <v>`` with
   1-based endpoints, ``u != v``, no duplicates. ``n`` above
-  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. Runs
-  of canonical ``e`` lines (``encode_edge_list``'s layout, LF or CRLF) are
-  parsed in bulk, dense lists (8m >= n^2) one bit per edge and then one
-  transposition; other lines one at a time. An input with an error is parsed
-  again line by line: the same graph or the same message either way.
+  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. In a
+  dense list (8m >= n^2), runs of canonical ``e`` lines (``encode_edge_list``'s
+  layout, LF or CRLF) are parsed in bulk, one bit per edge and then one
+  transposition; every other line one at a time. An input with an error is
+  parsed again line by line: the same graph or the same message either way.
 * graph6, one-byte size form only (1 <= n <= 62): printable bytes 63..126
   carrying 6 bits each, upper-triangle adjacency bits in column-major order
   (0,1), (0,2), (1,2), (0,3), ...  The multi-byte size forms (leading byte
@@ -126,18 +126,14 @@ class Graph(namedtuple("Graph", "n adj")):
         return Graph.from_edges(len(vertices), kept)
 
 
-# The bulk lane reads a slice at a time, to the first line end past a reach of at
-# most _SLICE_CHARS characters: that bounds the token lists alive at once.
+# Both lanes read at most a slice at a time, to the first line end past
+# _SLICE_CHARS characters: that bounds the token and line lists alive at once.
 _SLICE_CHARS = 1 << 15
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the DIMACS-like edge-list format (see module docstring).
-
-    Runs of canonical ``e`` lines (LF or CRLF) are parsed in bulk wherever they
-    occur, every other line one at a time; an input with an error is parsed
-    again line by line. Either way: the same graph or the same message.
-    """
+    """Parse the DIMACS-like edge-list format (see module docstring); an input
+    with an error is parsed again line by line, to name the first bad line."""
     try:
         return _parse_edge_list(text, True)
     except GraphParseError:
@@ -147,23 +143,25 @@ def parse_edge_list(text: str) -> Graph:
 def _parse_edge_list(text: str, bulk: bool) -> Graph:
     """One pass over ``text``; with ``bulk`` off, every line meets the line rules.
 
-    The bulk lane splits a slice as ``(slice + "e").split(" ")``: its first j
-    lines are ``e <u> <v>\\n`` iff their odd tokens are keys of ``odd`` (1..n
-    spelt out, so also the range check) and their even ones of ``even`` (those
-    plus ``\\ne``). Dense lists OR in one bit per edge and transpose once at the
-    end, sparse ones both bits; a self-loop or duplicate sets fewer bits than it
-    counts, so a popcount total of 2 * edges rules both out. Other lines go to
-    the line rules up to the next ``e`` line if it starts ``e <digit>`` and the
-    slices have not shrunk under 64 characters (lines that only look canonical).
+    Only a dense list (8m >= n^2, with room for m lines) takes the bulk lane. It
+    splits a slice as ``(slice + "e").split(" ")``: its first j lines are
+    ``e <u> <v>\\n`` iff their odd tokens are keys of ``odd`` (1..n spelt out,
+    so also the range check) and their even ones of ``even`` (those plus
+    ``\\ne``, to the bit of v). One bit per edge is ORed in and the rows are
+    transposed once at the end; a self-loop or duplicate sets fewer bits than
+    it counts, so a popcount total of 2 * edges rules both out. Other lines go
+    to the line rules up to the next ``e`` line if it starts ``e <digit>`` and
+    the slices have not shrunk under 64 characters (lines that only look
+    canonical).
     """
-    n = m = odd = dense = None
+    n = m = odd = None
     rows: list[int] = []
     found, lineno, pos, reach = 0, 0, 0, _SLICE_CHARS
     while pos < len(text):
         if n and bulk and text.startswith("e ", pos) and "1" <= text[pos + 2 : pos + 3] <= "9":
             if odd is None:  # built at the first line that may be canonical
                 odd = dict(zip(map(str, range(1, n + 1)), range(n)))
-                bits = map((1).__lshift__, range(n)) if dense else range(n)
+                bits = map((1).__lshift__, range(n))
                 even = dict(zip([v + "\ne" for v in odd], bits))
             chunk = text[pos : text.find("\n", pos + reach) + 1 or len(text)]
             tokens = (chunk.replace("\r\n", "\n").removesuffix("\n") + "\ne").split(" ")
@@ -175,13 +173,8 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
                     pass
             j = min(len(us), len(vs))  # the slice's lines, or those before the first miss
             rest = chunk.split("\n", j)[-1] if 2 * j + 1 < len(tokens) else ""
-            if dense:
-                for u, bit in zip(us, vs):
-                    rows[u] |= bit
-            else:
-                for u, v in zip(us, vs):
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
+            for u, bit in zip(us, vs):
+                rows[u] |= bit
             found, lineno, pos = found + j, lineno + j, pos + len(chunk) - len(rest)
             # Twice as far after a whole slice, else the lines read or half as far.
             reach = min(max(len(chunk) - len(rest) << (not rest), reach >> 1), _SLICE_CHARS)
@@ -216,8 +209,7 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
                         f"line {lineno}: edge lists cap at n={EDGE_LIST_MAX_N}, got n={n}"
                     )
                 rows = [0] * n
-                bulk = bulk and len(text) >= n  # tables in proportion to the input
-                dense = bulk and 8 * m >= n * n and len(text) >= 6 * m  # room for m lines
+                bulk = bulk and 8 * m >= n * n and len(text) >= 6 * m  # dense, room for m lines
             elif kind == "e":
                 if n is None:
                     raise GraphParseError(f"line {lineno}: 'e' line before 'p' line")
@@ -243,11 +235,11 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
         raise GraphParseError("missing 'p edge <n> <m>' line")
     if found != m:
         raise GraphParseError(f"'p' line declares {m} edges, found {found}")
-    if odd and dense:  # 2 * n * n <= 16 * m characters, 2.7 per character of text
+    if odd:  # 2 * n * n <= 16 * m characters, 2.7 per character of text
         bits = "".join([format(row, f"0{n}b") for row in rows])
         rows = [row | int(bits[n - 1 - v :: n][::-1], 2) for v, row in enumerate(rows)]
-    if odd and sum(row.bit_count() for row in rows) != 2 * found:
-        raise GraphParseError("self-loop or duplicate edge in a bulk run")
+        if sum(row.bit_count() for row in rows) != 2 * found:
+            raise GraphParseError("self-loop or duplicate edge in a bulk run")
     return Graph._from_symmetric_rows(n, rows)
 
 

@@ -345,10 +345,12 @@ class TestEdgeList:
     @given(graphs_strategy(max_n=12), st.sampled_from(SLICE_CHARS))
     @settings(max_examples=60)
     def test_canonical_layout_takes_the_bulk_path(self, g, slice_chars):
-        # The line rules read each endpoint with int(); the bulk lane reads
-        # them from its tables, so only the 'p' line's two counts call int()
-        # with one argument (the dense lane's transposition calls int(s, 2)).
+        # The line rules read each endpoint with int(); the bulk lane reads a
+        # dense list's from its tables, so only the 'p' line's two counts call
+        # int() with one argument (the transposition calls int(s, 2)). Every
+        # 'e' line of a sparse list meets the line rules.
         calls = []
+        expected = 2 if 8 * g.m >= g.n**2 else 2 + 2 * g.m
 
         def counting_int(token, *base):
             if not base:
@@ -362,12 +364,12 @@ class TestEdgeList:
                 assert parse_edge_list(variant) == line_by_line(variant) == g
             patch.setattr(graphs, "int", counting_int, raising=False)
             assert graphs._parse_edge_list(text, True) == g
-            assert len(calls) == 2
+            assert len(calls) == expected
             # End of text is a line end, so a last 'e' line without its
             # newline is read from the tables too.
             calls.clear()
             assert graphs._parse_edge_list(text.rstrip("\n"), True) == g
-            assert len(calls) == 2
+            assert len(calls) == expected
 
     @given(graphs_strategy(min_n=2, max_n=10).filter(lambda g: g.m), st.data())
     @settings(max_examples=400)
@@ -494,7 +496,8 @@ class TestEdgeList:
         self, n, p, mutations, slice_chars, data
     ):
         # Up to 30 lines that are valid but not canonical, anywhere in a dense
-        # or sparse list: the same graph as the line rules give.
+        # list or in a sparse one, which meets only the line rules: the same
+        # graph as the line rules give.
         g = generate("gnp", n, p, data.draw(st.integers(0, 2**32)))
         text = encode_edge_list(g)
         for mutate in mutations:
@@ -526,9 +529,10 @@ class TestEdgeList:
     )
     @settings(max_examples=60, deadline=None)
     def test_both_lanes_agree_with_the_line_rules(self, n, p, layout, mutate, slice_chars, data):
-        # Dense and sparse lists, in canonical order, with the 'e' lines
-        # shuffled or their endpoints swapped, and each mutation (CRLF, a
-        # comment, no final newline among them) on a line next to a slice end.
+        # Dense lists, and sparse ones that meet only the line rules, in
+        # canonical order, with the 'e' lines shuffled or their endpoints
+        # swapped, and each mutation (CRLF, a comment, no final newline among
+        # them) on a line next to a slice end.
         g = generate("gnp", n, p, data.draw(st.integers(0, 2**32)))
         lines = encode_edge_list(g).splitlines()
         if layout == "shuffled":
@@ -563,10 +567,26 @@ class TestEdgeList:
         assert parse_peak(variant(text)) <= 1.2 * parse_peak(text)
 
     def test_edgeless_list_at_the_vertex_ceiling_builds_no_vertex_table(self):
-        # The lookup tables need a text of at least n characters, so none is
-        # built for n = 65536 vertices on the 'p' line's word; the rows alone
-        # take 0.5 MiB here.
+        # A list with no edges is sparse, and the lookup tables are built only
+        # for a dense list, so none is built for n = 65536 vertices on the 'p'
+        # line's word; the rows alone take 0.5 MiB here.
         assert parse_peak(f"p edge {EDGE_LIST_MAX_N} 0\n") < 2 * 2**20
+
+    def test_a_sparse_list_builds_no_lookup_table(self):
+        # Only a dense list (8 * m >= n * n) takes the bulk lane and its two
+        # tables; a tree or a path is read by the line rules alone.
+        def no_table(*args):
+            raise AssertionError("lookup table built for a sparse list")
+
+        sparse = [generate("tree", 3000), generate("path", 2000)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "dict", no_table, raising=False)
+            for g in sparse:
+                text = encode_edge_list(g)
+                for variant in (text, text.replace("\n", "\r\n")):
+                    assert parse_edge_list(variant) == g
+            with pytest.raises(AssertionError, match="lookup table"):
+                parse_edge_list(encode_edge_list(generate("complete", 100)))
 
 
 class TestGraph6:
