@@ -498,11 +498,39 @@ def run(argv=None) -> int:
         return handler(args)
     except tuple(_FAILURES) as exc:
         label, code = _FAILURES[type(exc)]
-        print(f"{label}: {exc}", file=sys.stderr)
+        _warn(f"{label}: {exc}")
         return code
 
 
+def _warn(line: str) -> None:
+    """Write ``line`` to stderr and flush it. With fd 2 closed at start-up there
+    is no stderr, and the line goes nowhere, not to stdout; a failed write is
+    dropped, so the exit code stays the failure's own."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(line + "\n")
+            sys.stderr.flush()
+        except OSError:
+            pass
+
+
+def _observed() -> bool:
+    """Whether a tracer, a profiler, a sys.monitoring tool (coverage, cProfile
+    on Python 3.12+) or ``python -i`` expects the interpreter's normal exit."""
+    if sys.gettrace() or sys.getprofile() or sys.flags.inspect:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    return monitoring is not None and any(map(monitoring.get_tool, range(6)))
+
+
 def main(argv=None) -> None:
+    """Run one subcommand, as the ``stabdim`` script and ``python -m stabdim.cli``
+    do, and end the process with its exit code. Once stdout and stderr are
+    flushed the process ends by ``os._exit``, skipping the interpreter's
+    teardown, which no output waits for; ``atexit`` handlers do not run then.
+    Under a tracer, profiler, monitoring tool or ``python -i`` it raises
+    SystemExit instead, so their exit-time work still runs. In-process callers
+    use ``run``, which returns the code."""
     if sys.stdout is None:
         # fd 1 was closed at start-up. Stand in a descriptor open for reading only:
         # a write to it fails with EBADF, as one to the closed fd would.
@@ -516,10 +544,12 @@ def main(argv=None) -> None:
             code = 141
         else:
             # A full disk, a closed stdout or any other failed write or flush.
-            print(f"output error: {exc.strerror or exc}", file=sys.stderr)
+            _warn(f"output error: {exc.strerror or exc}")
             code = 74
-        # Point fd 1 at devnull so the flush at exit cannot raise again.
+        # Point fd 1 at devnull so the flush at a normal exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if not _observed():
+        os._exit(code)
     raise SystemExit(code)
 
 

@@ -12,8 +12,9 @@ Two text formats are supported:
   ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. In a
   dense list (8m >= n^2), runs of canonical ``e`` lines (``encode_edge_list``'s
   layout, LF or CRLF) are parsed in bulk, one bit per edge and then one
-  transposition; every other line one at a time. An input with an error is
-  parsed again line by line: the same graph or the same message either way.
+  transposition; every other line one at a time. An input with an error found
+  after a bulk run is parsed again line by line: the same graph or the same
+  message either way.
 * graph6, one-byte size form only (1 <= n <= 62): printable bytes 63..126
   carrying 6 bits each, upper-triangle adjacency bits in column-major order
   (0,1), (0,2), (1,2), (0,3), ...  The multi-byte size forms (leading byte
@@ -131,12 +132,17 @@ class Graph(namedtuple("Graph", "n adj")):
 _SLICE_CHARS = 1 << 15
 
 
+class _AfterBulkRun(GraphParseError):
+    """A fault found once the bulk lane has run, which may have passed an earlier bad line."""
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the DIMACS-like edge-list format (see module docstring); an input
-    with an error is parsed again line by line, to name the first bad line."""
+    with an error found after a bulk run is parsed again line by line, to name
+    the first bad line."""
     try:
         return _parse_edge_list(text, True)
-    except GraphParseError:
+    except _AfterBulkRun:
         return _parse_edge_list(text, False)
 
 
@@ -155,6 +161,7 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
     canonical).
     """
     n = m = odd = None
+    fault = GraphParseError  # _AfterBulkRun once the tables are built
     rows: list[int] = []
     found, lineno, pos, reach = 0, 0, 0, _SLICE_CHARS
     while pos < len(text):
@@ -163,6 +170,7 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
                 odd = dict(zip(map(str, range(1, n + 1)), range(n)))
                 bits = map((1).__lshift__, range(n))
                 even = dict(zip([v + "\ne" for v in odd], bits))
+                fault = _AfterBulkRun
             chunk = text[pos : text.find("\n", pos + reach) + 1 or len(text)]
             tokens = (chunk.replace("\r\n", "\n").removesuffix("\n") + "\ne").split(" ")
             us, vs = [], []  # extend keeps the hits before a miss
@@ -193,17 +201,17 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
             kind = tokens[0]
             if kind == "p":
                 if n is not None:
-                    raise GraphParseError(f"line {lineno}: duplicate 'p' line")
+                    raise fault(f"line {lineno}: duplicate 'p' line")
                 if len(tokens) != 4 or tokens[1] != "edge":
-                    raise GraphParseError(f"line {lineno}: expected 'p edge <n> <m>'")
+                    raise fault(f"line {lineno}: expected 'p edge <n> <m>'")
                 try:
                     n, m = int(tokens[2]), int(tokens[3])
                 except ValueError:
-                    raise GraphParseError(
+                    raise fault(
                         f"line {lineno}: non-integer counts in 'p' line"
                     ) from None
                 if n < 1 or m < 0:
-                    raise GraphParseError(f"line {lineno}: need n >= 1 and m >= 0")
+                    raise fault(f"line {lineno}: need n >= 1 and m >= 0")
                 if n > EDGE_LIST_MAX_N:
                     raise ConstraintError(
                         f"line {lineno}: edge lists cap at n={EDGE_LIST_MAX_N}, got n={n}"
@@ -212,34 +220,34 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
                 bulk = bulk and 8 * m >= n * n and len(text) >= 6 * m  # dense, room for m lines
             elif kind == "e":
                 if n is None:
-                    raise GraphParseError(f"line {lineno}: 'e' line before 'p' line")
+                    raise fault(f"line {lineno}: 'e' line before 'p' line")
                 if len(tokens) != 3:
-                    raise GraphParseError(f"line {lineno}: expected 'e <u> <v>'")
+                    raise fault(f"line {lineno}: expected 'e <u> <v>'")
                 try:
                     u, v = int(tokens[1]), int(tokens[2])
                 except ValueError:
-                    raise GraphParseError(f"line {lineno}: non-integer endpoint") from None
+                    raise fault(f"line {lineno}: non-integer endpoint") from None
                 if not (1 <= u <= n and 1 <= v <= n):
-                    raise GraphParseError(f"line {lineno}: endpoint outside [1, {n}]")
+                    raise fault(f"line {lineno}: endpoint outside [1, {n}]")
                 if u == v:
-                    raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
+                    raise fault(f"line {lineno}: self-loop at vertex {u}")
                 if rows[u - 1] >> (v - 1) & 1:
-                    raise GraphParseError(f"line {lineno}: duplicate edge ({u}, {v})")
+                    raise fault(f"line {lineno}: duplicate edge ({u}, {v})")
                 rows[u - 1] |= 1 << (v - 1)
                 rows[v - 1] |= 1 << (u - 1)
                 found += 1
             else:
-                raise GraphParseError(f"line {lineno}: unknown line type {kind!r}")
+                raise fault(f"line {lineno}: unknown line type {kind!r}")
         pos = stop
     if n is None:
-        raise GraphParseError("missing 'p edge <n> <m>' line")
+        raise fault("missing 'p edge <n> <m>' line")
     if found != m:
-        raise GraphParseError(f"'p' line declares {m} edges, found {found}")
+        raise fault(f"'p' line declares {m} edges, found {found}")
     if odd:  # 2 * n * n <= 16 * m characters, 2.7 per character of text
         bits = "".join([format(row, f"0{n}b") for row in rows])
         rows = [row | int(bits[n - 1 - v :: n][::-1], 2) for v, row in enumerate(rows)]
         if sum(row.bit_count() for row in rows) != 2 * found:
-            raise GraphParseError("self-loop or duplicate edge in a bulk run")
+            raise fault("self-loop or duplicate edge in a bulk run")
     return Graph._from_symmetric_rows(n, rows)
 
 

@@ -951,6 +951,19 @@ class TestGrammar:
                 assert row.endswith(f"(default: {default})")
 
 
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+# The two ways a process reaches cli.main: the module, and the installed script's call.
+ENTRIES = {"module": ["-m", "stabdim.cli"], "main": ["-c", "from stabdim.cli import main; main()"]}
+
+
+def run_process(args, **kwargs):
+    """``python <args>`` with stabdim importable, stdout and stderr piped unless
+    ``kwargs`` says otherwise."""
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize(
         "argv",
@@ -963,11 +976,9 @@ class TestClosedPipe:
     def test_exits_141_without_a_traceback(self, argv):
         # As `stabdim ... | head -n 1`: the reader takes one line and closes the
         # pipe while the writer still has megabytes to write.
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.Popen(
-            [sys.executable, "-c", "from stabdim.cli import main; main()", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            [sys.executable, *ENTRIES["main"], *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC},
         )
         assert proc.stdout.readline()
         proc.stdout.close()
@@ -981,12 +992,7 @@ class TestWriteErrors:
 
     @staticmethod
     def run_cli(argv, **kwargs):
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        return subprocess.run(
-            [sys.executable, "-m", "stabdim.cli", *argv],
-            stderr=subprocess.PIPE, env=env, timeout=60, **kwargs,
-        )
+        return run_process([*ENTRIES["module"], *argv], **kwargs)
 
     def test_closed_stdout(self):
         # As `stabdim analyze --graph6 A_ >&-`: fd 1 is closed before the
@@ -1016,6 +1022,117 @@ class TestWriteErrors:
             proc = self.run_cli(argv, stdout=full)
         expected = f"output error: {os.strerror(errno.ENOSPC)}\n".encode()
         assert (proc.returncode, proc.stderr) == (74, expected)
+
+
+class TestFailureLine:
+    """A failure line goes to stderr or nowhere: never to stdout, and a failed
+    write of it leaves the failure's own exit code."""
+
+    def test_closed_stderr(self):
+        # As `stabdim analyze --graph6 '~~~' 2>&-`: sys.stderr is None.
+        argv = [*ENTRIES["module"], "analyze", "--graph6", "~~~"]
+        proc = run_process(argv, preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["analyze", "--graph6", "~~~"], 2), (["verify", "--graph6", "NOhFqXSLQGtjY{rCWwO"], 3)],
+        ids=["parse", "constraint"],
+    )
+    def test_full_stderr(self, argv, code):
+        with open("/dev/full", "wb") as full:
+            proc = run_process([*ENTRIES["module"], *argv], stderr=full)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+class TestProcessExit:
+    """main ends the process once its output is flushed, with the bytes and
+    exit code that run gives in-process. A process that a tracer, profiler or
+    ``python -i`` observes exits normally, so their exit-time work still runs."""
+
+    MACHINE = ["analyze", "--graph6", "A_", "--format", "machine"]
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["analyze", "--family", "star", "--n", "9"], 0),
+            (["gen", "--family", "gnp", "--n", "60", "--p", "0.5", "--format", "edge-list"], 0),
+            (["analyze", "--graph6", "A_", "--bogus"], 1),
+            (["analyze", "--graph6", "~~~"], 2),
+            (["verify", "--graph6", "NOhFqXSLQGtjY{rCWwO"], 3),
+        ],
+        ids=["analyze", "gen", "usage", "parse", "constraint"],
+    )
+    def test_exit_code_and_bytes_match_run(self, capsys, entry, argv, code):
+        expected = run_capture(capsys, argv)
+        assert expected[0] == code
+        proc = run_process([*ENTRIES[entry], *argv])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, expected[1].encode(), expected[2].encode()
+        )
+
+    def test_consistency_failure_exits_4(self):
+        wrapper = (
+            "from stabdim import cli\n"
+            "def disagree(*args):\n"
+            "    raise cli.ConsistencyError('routes disagree')\n"
+            "cli.check_routes = disagree\n"
+            "cli.main()"
+        )
+        proc = run_process(["-c", wrapper, *self.MACHINE])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, b"", b"internal consistency failure: routes disagree\n"
+        )
+
+    def test_profiled_process_prints_its_stats(self, capsys):
+        _, report, _ = run_capture(capsys, self.MACHINE)
+        proc = run_process(["-m", "cProfile", *ENTRIES["module"], *self.MACHINE])
+        out = proc.stdout.decode()
+        assert out.startswith(report)
+        assert "function calls" in out[len(report):]
+
+    @pytest.mark.parametrize(
+        "observer,options", [("", []), ("sys.settrace(lambda *args: None)\n", []), ("", ["-i"])],
+        ids=["none", "settrace", "inspect"],
+    )
+    def test_atexit_handlers_run_only_when_observed(self, capsys, observer, options):
+        _, report, _ = run_capture(capsys, self.MACHINE)
+        wrapper = (
+            "import atexit, sys\n"
+            f"{observer}"
+            "atexit.register(print, 'atexit ran')\n"
+            "from stabdim.cli import main\n"
+            "main()"
+        )
+        proc = run_process([*options, "-c", wrapper, *self.MACHINE], stdin=subprocess.DEVNULL)
+        out = proc.stdout.decode()
+        assert (proc.returncode, out.startswith(report)) == (0, True)
+        assert out.endswith("atexit ran\n") == bool(observer or options)
+
+    def test_main_exits_with_the_code_once_stdout_is_flushed(self, monkeypatch):
+        events = []
+
+        class Stdout(io.StringIO):
+            def flush(self):
+                events.append(("flush", self.getvalue()))
+
+        class Exited(Exception):
+            pass
+
+        def exit_now(code):
+            events.append(("exit", code))
+            raise Exited
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        monkeypatch.setattr(cli, "_observed", lambda: False)
+        monkeypatch.setattr(cli.os, "_exit", exit_now)
+        with pytest.raises(Exited):
+            cli.main(self.MACHINE)
+        report = sys.stdout.getvalue()
+        assert report.startswith('{"n":2,')
+        assert events[-2:] == [("flush", report), ("exit", 0)]
 
 
 class TestStreamedReport:

@@ -441,6 +441,21 @@ class TestEdgeList:
             graphs._parse_edge_list(text, True)
         assert outcome(parse_edge_list, text) == (GraphParseError, "line 3: duplicate edge (1, 2)")
 
+    @pytest.mark.parametrize("family,passes", [("tree", 1), ("complete", 2)])
+    def test_only_a_fault_after_a_bulk_run_is_parsed_again(self, monkeypatch, family, passes):
+        # A sparse list never takes the bulk lane, so its first pass already
+        # names the first bad line; a dense canonical one needs the second.
+        lines = encode_edge_list(generate(family, 40, seed=1)).splitlines(keepends=True)
+        _, _, n, m = lines[0].split()
+        text = "".join([f"p edge {n} {int(m) + 1}\n", *lines[1:], lines[-1]])
+        calls, one_pass = [], graphs._parse_edge_list
+        monkeypatch.setattr(
+            graphs, "_parse_edge_list", lambda *args: calls.append(args) or one_pass(*args)
+        )
+        message = f"line {int(m) + 2}: duplicate edge {tuple(map(int, lines[-1].split()[1:]))}"
+        assert outcome(parse_edge_list, text) == (GraphParseError, message)
+        assert len(calls) == passes
+
     def test_only_the_other_lines_meet_the_line_rules(self):
         # A comment, a blank line or an 'e' line with a trailing space inside a
         # run of canonical lines goes through the line rules, and so does the
