@@ -9,12 +9,11 @@ Two text formats are supported:
 * DIMACS-like edge lists: ``c`` comment lines, exactly one ``p edge <n> <m>``
   line (first non-comment line), then exactly ``m`` lines ``e <u> <v>`` with
   1-based endpoints, ``u != v``, no duplicates. ``n`` above
-  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. In a
-  dense list (8m >= n^2), runs of canonical ``e`` lines (``encode_edge_list``'s
-  layout, LF or CRLF) are parsed in bulk, one bit per edge and then one
-  transposition; every other line one at a time. An input with an error found
-  after a bulk run is parsed again line by line: the same graph or the same
-  message either way.
+  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. Line
+  rules read each line and name the first bad one. In a dense list
+  (8m >= n^2) whose lines after the ``p`` line are all canonical ``e`` lines
+  (``encode_edge_list``'s layout, LF or CRLF), a bulk reader takes them
+  instead, one bit per edge and then one transposition.
 * graph6, one-byte size form only (1 <= n <= 62): printable bytes 63..126
   carrying 6 bits each, upper-triangle adjacency bits in column-major order
   (0,1), (0,2), (1,2), (0,3), ...  The multi-byte size forms (leading byte
@@ -127,73 +126,24 @@ class Graph(namedtuple("Graph", "n adj")):
         return Graph.from_edges(len(vertices), kept)
 
 
-# Both lanes read at most a slice at a time, to the first line end past
+# Both readers take at most a slice at a time, to the first line end past
 # _SLICE_CHARS characters: that bounds the token and line lists alive at once.
 _SLICE_CHARS = 1 << 15
 
 
-class _AfterBulkRun(GraphParseError):
-    """A fault found once the bulk lane has run, which may have passed an earlier bad line."""
-
-
 def parse_edge_list(text: str) -> Graph:
-    """Parse the DIMACS-like edge-list format (see module docstring); an input
-    with an error found after a bulk run is parsed again line by line, to name
-    the first bad line."""
-    try:
-        return _parse_edge_list(text, True)
-    except _AfterBulkRun:
-        return _parse_edge_list(text, False)
-
-
-def _parse_edge_list(text: str, bulk: bool) -> Graph:
-    """One pass over ``text``; with ``bulk`` off, every line meets the line rules.
-
-    Only a dense list (8m >= n^2, with room for m lines) takes the bulk lane. It
-    splits a slice as ``(slice + "e").split(" ")``: its first j lines are
-    ``e <u> <v>\\n`` iff their odd tokens are keys of ``odd`` (1..n spelt out,
-    so also the range check) and their even ones of ``even`` (those plus
-    ``\\ne``, to the bit of v). One bit per edge is ORed in and the rows are
-    transposed once at the end; a self-loop or duplicate sets fewer bits than
-    it counts, so a popcount total of 2 * edges rules both out. Other lines go
-    to the line rules up to the next ``e`` line if it starts ``e <digit>`` and
-    the slices have not shrunk under 64 characters (lines that only look
-    canonical).
-    """
-    n = m = odd = None
-    fault = GraphParseError  # _AfterBulkRun once the tables are built
-    rows: list[int] = []
-    found, lineno, pos, reach = 0, 0, 0, _SLICE_CHARS
+    """Parse the DIMACS-like edge-list format (see module docstring) by the line
+    rules, the only reader that raises or names a line. A dense list (8m >= n^2,
+    with room in the text for m lines) is first offered, once, to ``_bulk_rows``
+    from the line after its ``p`` line; if that declines, the line rules read
+    on from there: the same graph or the same message either way."""
+    n = m = None
+    found, lineno, pos = 0, 0, 0
     while pos < len(text):
-        if n and bulk and text.startswith("e ", pos) and "1" <= text[pos + 2 : pos + 3] <= "9":
-            if odd is None:  # built at the first line that may be canonical
-                odd = dict(zip(map(str, range(1, n + 1)), range(n)))
-                bits = map((1).__lshift__, range(n))
-                even = dict(zip([v + "\ne" for v in odd], bits))
-                fault = _AfterBulkRun
-            chunk = text[pos : text.find("\n", pos + reach) + 1 or len(text)]
-            tokens = (chunk.replace("\r\n", "\n").removesuffix("\n") + "\ne").split(" ")
-            us, vs = [], []  # extend keeps the hits before a miss
-            for hits, table, keys in (us, odd, tokens[1::2]), (vs, even, tokens[2::2]):
-                try:
-                    hits.extend(map(table.__getitem__, keys))
-                except KeyError:
-                    pass
-            j = min(len(us), len(vs))  # the slice's lines, or those before the first miss
-            rest = chunk.split("\n", j)[-1] if 2 * j + 1 < len(tokens) else ""
-            for u, bit in zip(us, vs):
-                rows[u] |= bit
-            found, lineno, pos = found + j, lineno + j, pos + len(chunk) - len(rest)
-            # Twice as far after a whole slice, else the lines read or half as far.
-            reach = min(max(len(chunk) - len(rest) << (not rest), reach >> 1), _SLICE_CHARS)
-            if not rest:
-                continue
         stop = text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)
-        cut = text.find("\ne ", pos, stop) + 1
-        if bulk and reach >= 64 and cut and "1" <= text[cut + 2 : cut + 3] <= "9":
-            stop = cut
-        # Lines end at \n, \r\n or \r only, as in the bulk lane and open().
-        for raw in io.StringIO(text[pos:stop], newline=""):
+        # Lines end at \n, \r\n or \r only, as in open().
+        lines = io.StringIO(text[pos:stop], newline="")
+        for raw in lines:
             lineno += 1
             tokens = raw.split()
             if not tokens or tokens[0] == "c":
@@ -201,54 +151,91 @@ def _parse_edge_list(text: str, bulk: bool) -> Graph:
             kind = tokens[0]
             if kind == "p":
                 if n is not None:
-                    raise fault(f"line {lineno}: duplicate 'p' line")
+                    raise GraphParseError(f"line {lineno}: duplicate 'p' line")
                 if len(tokens) != 4 or tokens[1] != "edge":
-                    raise fault(f"line {lineno}: expected 'p edge <n> <m>'")
+                    raise GraphParseError(f"line {lineno}: expected 'p edge <n> <m>'")
                 try:
                     n, m = int(tokens[2]), int(tokens[3])
                 except ValueError:
-                    raise fault(
+                    raise GraphParseError(
                         f"line {lineno}: non-integer counts in 'p' line"
                     ) from None
                 if n < 1 or m < 0:
-                    raise fault(f"line {lineno}: need n >= 1 and m >= 0")
+                    raise GraphParseError(f"line {lineno}: need n >= 1 and m >= 0")
                 if n > EDGE_LIST_MAX_N:
                     raise ConstraintError(
                         f"line {lineno}: edge lists cap at n={EDGE_LIST_MAX_N}, got n={n}"
                     )
                 rows = [0] * n
-                bulk = bulk and 8 * m >= n * n and len(text) >= 6 * m  # dense, room for m lines
+                if 8 * m >= n * n and len(text) >= 6 * m:  # dense, room for m lines
+                    stop = pos + lines.tell()  # on a decline, read on from a new slice
+                    lines.close()  # frees its buffer, 4 bytes a character, before a bulk read
+                    dense = _bulk_rows(text, stop, n, m)
+                    if dense is not None:
+                        return Graph._from_symmetric_rows(n, dense)
+                    break
             elif kind == "e":
                 if n is None:
-                    raise fault(f"line {lineno}: 'e' line before 'p' line")
+                    raise GraphParseError(f"line {lineno}: 'e' line before 'p' line")
                 if len(tokens) != 3:
-                    raise fault(f"line {lineno}: expected 'e <u> <v>'")
+                    raise GraphParseError(f"line {lineno}: expected 'e <u> <v>'")
                 try:
                     u, v = int(tokens[1]), int(tokens[2])
                 except ValueError:
-                    raise fault(f"line {lineno}: non-integer endpoint") from None
+                    raise GraphParseError(f"line {lineno}: non-integer endpoint") from None
                 if not (1 <= u <= n and 1 <= v <= n):
-                    raise fault(f"line {lineno}: endpoint outside [1, {n}]")
+                    raise GraphParseError(f"line {lineno}: endpoint outside [1, {n}]")
                 if u == v:
-                    raise fault(f"line {lineno}: self-loop at vertex {u}")
+                    raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
                 if rows[u - 1] >> (v - 1) & 1:
-                    raise fault(f"line {lineno}: duplicate edge ({u}, {v})")
+                    raise GraphParseError(f"line {lineno}: duplicate edge ({u}, {v})")
                 rows[u - 1] |= 1 << (v - 1)
                 rows[v - 1] |= 1 << (u - 1)
                 found += 1
             else:
-                raise fault(f"line {lineno}: unknown line type {kind!r}")
+                raise GraphParseError(f"line {lineno}: unknown line type {kind!r}")
         pos = stop
     if n is None:
-        raise fault("missing 'p edge <n> <m>' line")
+        raise GraphParseError("missing 'p edge <n> <m>' line")
     if found != m:
-        raise fault(f"'p' line declares {m} edges, found {found}")
-    if odd:  # 2 * n * n <= 16 * m characters, 2.7 per character of text
-        bits = "".join([format(row, f"0{n}b") for row in rows])
-        rows = [row | int(bits[n - 1 - v :: n][::-1], 2) for v, row in enumerate(rows)]
-        if sum(row.bit_count() for row in rows) != 2 * found:
-            raise fault("self-loop or duplicate edge in a bulk run")
+        raise GraphParseError(f"'p' line declares {m} edges, found {found}")
     return Graph._from_symmetric_rows(n, rows)
+
+
+def _bulk_rows(text: str, pos: int, n: int, m: int) -> list[int] | None:
+    """The rows of a body ``text[pos:]`` of exactly m canonical lines
+    ``e <u> <v>`` (``encode_edge_list``'s layout, LF or CRLF, in any order)
+    with no self-loop or duplicate, else None.
+
+    Each slice is split as ``(slice + "e").split(" ")``: its j lines are
+    canonical iff its odd tokens are keys of ``odd`` (1..n spelt out, so also
+    the range check) and its even ones of ``even`` (those plus ``\\ne``, to
+    the bit of v). One bit per edge is ORed in and the rows are transposed once
+    at the end; a self-loop or duplicate sets fewer bits than it counts, so a
+    popcount total of 2m rules both out.
+    """
+    odd = dict(zip(map(str, range(1, n + 1)), range(n)))
+    even = dict(zip([v + "\ne" for v in odd], map((1).__lshift__, range(n))))
+    rows = [0] * n
+    found = 0
+    while pos < len(text):
+        chunk = text[pos : text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)]
+        tokens = (chunk.replace("\r\n", "\n").removesuffix("\n") + "\ne").split(" ")
+        if tokens[0] != "e":
+            return None
+        try:
+            us = list(map(odd.__getitem__, tokens[1::2]))
+            for u, bit in zip(us, map(even.__getitem__, tokens[2::2])):
+                rows[u] |= bit
+        except KeyError:  # a line that is not canonical
+            return None
+        found, pos = found + len(us), pos + len(chunk)
+    if found != m:
+        return None
+    # The transposition holds 2 * n * n <= 16 * m characters, 2.7 per character of text.
+    bits = "".join([format(row, f"0{n}b") for row in rows])
+    rows = [row | int(bits[n - 1 - v :: n][::-1], 2) for v, row in enumerate(rows)]
+    return rows if sum(row.bit_count() for row in rows) == 2 * m else None
 
 
 def edge_list_chunks(g: Graph):

@@ -46,10 +46,15 @@ class ExactStateVector(namedtuple("ExactStateVector", "n re im")):
     __slots__ = ()
 
 
+def _check_ceiling(n: int) -> None:
+    """Refuse (ConstraintError) an n past ``ORACLE_CEILING``: both routes hold 2**n."""
+    if n > ORACLE_CEILING:
+        raise ConstraintError(f"statevector oracle caps at n={ORACLE_CEILING}, got n={n}")
+
+
 def build_statevector(g: Graph) -> ExactStateVector:
     """amp[x] = (-1)**(number of edges with both endpoints set in x)."""
-    if g.n > ORACLE_CEILING:
-        raise ConstraintError(f"statevector oracle caps at n={ORACLE_CEILING}, got n={g.n}")
+    _check_ceiling(g.n)
     size = 1 << g.n
     re = [1] * size
     full = size - 1
@@ -121,8 +126,7 @@ def _bit_pattern(n: int, a: int) -> int:
 
 def _gram_blocks(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     """Gram matrices of the real [theta, X_a, Z_a] and imaginary [Y_a] column blocks."""
-    if g.n > ORACLE_CEILING:
-        raise ConstraintError(f"statevector oracle caps at n={ORACLE_CEILING}, got n={g.n}")
+    _check_ceiling(g.n)
     n = g.n
     size = 1 << n
     full = (1 << size) - 1

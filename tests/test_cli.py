@@ -727,7 +727,7 @@ class TestByteOrderMark:
 
 
 class TestLineEnds:
-    """A line ends at \\n, \\r\\n or \\r only, as in the bulk lane; the other
+    """A line ends at \\n, \\r\\n or \\r only, as in the bulk reader; the other
     characters that str.splitlines() breaks at are whitespace inside a line."""
 
     def test_form_feed_inside_a_comment(self, capsys, tmp_path):

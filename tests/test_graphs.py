@@ -70,8 +70,21 @@ def outcome(parse, text):
 
 
 def line_by_line(text):
-    """The parse pass with the bulk lane off: every line through the line rules."""
-    return graphs._parse_edge_list(text, False)
+    """The parse with the bulk reader declining: every line through the line rules."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_bulk_rows", lambda *args: None)
+        return parse_edge_list(text)
+
+
+def counting_int(calls):
+    """``int`` that records each token it reads with one argument in ``calls``."""
+
+    def count(token, *base):
+        if not base:
+            calls.append(token)
+        return int(token, *base)
+
+    return count
 
 
 def parse_peak(text):
@@ -84,7 +97,7 @@ def parse_peak(text):
         tracemalloc.stop()
 
 
-# Slice lengths for the bulk lane: one or a few lines per slice, and the real one.
+# Slice lengths for both readers: one or a few lines per slice, and the real one.
 SLICE_CHARS = (1, 9, graphs._SLICE_CHARS)
 
 
@@ -345,31 +358,25 @@ class TestEdgeList:
     @given(graphs_strategy(max_n=12), st.sampled_from(SLICE_CHARS))
     @settings(max_examples=60)
     def test_canonical_layout_takes_the_bulk_path(self, g, slice_chars):
-        # The line rules read each endpoint with int(); the bulk lane reads a
+        # The line rules read each endpoint with int(); the bulk reader reads a
         # dense list's from its tables, so only the 'p' line's two counts call
-        # int() with one argument (the transposition calls int(s, 2)). Every
-        # 'e' line of a sparse list meets the line rules.
+        # int() with one argument (the transposition calls int(s, 2)), after a
+        # leading comment and with CRLF endings too. End of text is a line end,
+        # so a last 'e' line without its newline is read from the tables too.
+        # Every 'e' line of a sparse list meets the line rules.
         calls = []
         expected = 2 if 8 * g.m >= g.n**2 else 2 + 2 * g.m
-
-        def counting_int(token, *base):
-            if not base:
-                calls.append(token)
-            return int(token, *base)
-
+        text = encode_edge_list(g)
+        variants = (text, text.replace("\n", "\r\n"), "c header\n" + text, text.rstrip("\n"))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
-            text = encode_edge_list(g)
-            for variant in (text, text.replace("\n", "\r\n"), "c header\n" + text):
-                assert parse_edge_list(variant) == line_by_line(variant) == g
-            patch.setattr(graphs, "int", counting_int, raising=False)
-            assert graphs._parse_edge_list(text, True) == g
-            assert len(calls) == expected
-            # End of text is a line end, so a last 'e' line without its
-            # newline is read from the tables too.
-            calls.clear()
-            assert graphs._parse_edge_list(text.rstrip("\n"), True) == g
-            assert len(calls) == expected
+            for variant in variants:
+                assert line_by_line(variant) == g
+            patch.setattr(graphs, "int", counting_int(calls), raising=False)
+            for variant in variants:
+                calls.clear()
+                assert parse_edge_list(variant) == g
+                assert len(calls) == expected
 
     @given(graphs_strategy(min_n=2, max_n=10).filter(lambda g: g.m), st.data())
     @settings(max_examples=400)
@@ -411,8 +418,8 @@ class TestEdgeList:
         "text, message",
         [
             # A duplicate, a self-loop or a leading-zero spelling of a duplicate
-            # in a bulk run, then a malformed line or a wrong count: whichever
-            # the bulk pass trips on, the message names the first bad line.
+            # in a dense list, then a malformed line or a wrong count: the bulk
+            # reader declines, and the line rules name the first bad line.
             ("p edge 4 4\ne 1 2\ne 1 2\ne 2 3\ne 3\n", "line 3: duplicate edge (1, 2)"),
             ("p edge 4 2\ne 1 2\ne 2 1\ne 2 3\n", "line 3: duplicate edge (2, 1)"),
             ("p edge 3 3\ne 1 2\ne 2 2\ne 2 3\nq\n", "line 3: self-loop at vertex 2"),
@@ -420,7 +427,7 @@ class TestEdgeList:
             ("p edge 3 3\ne 1 2\ne 01 2\ne 2 3\ne 3 x\n", "line 3: duplicate edge (1, 2)"),
             ("p edge 3 1\ne 1 2\ne 01 2\ne 2 3\n", "line 3: duplicate edge (1, 2)"),
             # The same after a comment line, with CRLF endings, and with the
-            # later fault in a block of other lines between two bulk runs.
+            # later fault among other lines between canonical ones.
             ("c x\r\np edge 3 1\r\ne 1 2\r\ne 1 2\r\ne 2\r\n", "line 4: duplicate edge (1, 2)"),
             ("p edge 4 3\ne 3 4\ne 4 3\nc x\ne 1\ne 1 2\n", "line 3: duplicate edge (4, 3)"),
             ("p edge 4 2\ne 3 3\n\ne 1  2\ne 1 2\n", "line 2: self-loop at vertex 3"),
@@ -435,33 +442,63 @@ class TestEdgeList:
 
     def test_a_duplicate_in_a_dense_slice_is_refused(self):
         # A dense slice ORs in one bit per edge, so the duplicate sets none:
-        # the popcount total, taken after the transposition, falls short.
+        # the popcount total, taken after the transposition, falls short, the
+        # bulk reader declines and the line rules name the duplicate.
         text = "p edge 4 4\ne 1 2\ne 1 2\ne 1 3\ne 1 4\n"
-        with pytest.raises(GraphParseError, match="bulk run"):
-            graphs._parse_edge_list(text, True)
+        assert graphs._bulk_rows(text, text.index("e"), 4, 4) is None
         assert outcome(parse_edge_list, text) == (GraphParseError, "line 3: duplicate edge (1, 2)")
 
-    @pytest.mark.parametrize("family,passes", [("tree", 1), ("complete", 2)])
-    def test_only_a_fault_after_a_bulk_run_is_parsed_again(self, monkeypatch, family, passes):
-        # A sparse list never takes the bulk lane, so its first pass already
-        # names the first bad line; a dense canonical one needs the second.
+    @pytest.mark.parametrize("family,entries", [("tree", 0), ("complete", 1)])
+    def test_a_faulty_list_meets_the_bulk_reader_only_if_dense(self, monkeypatch, family, entries):
+        # A sparse list never meets the bulk reader; a dense canonical one is
+        # offered to it once, and the line rules name the first bad line.
         lines = encode_edge_list(generate(family, 40, seed=1)).splitlines(keepends=True)
         _, _, n, m = lines[0].split()
         text = "".join([f"p edge {n} {int(m) + 1}\n", *lines[1:], lines[-1]])
-        calls, one_pass = [], graphs._parse_edge_list
+        calls, bulk_rows = [], graphs._bulk_rows
         monkeypatch.setattr(
-            graphs, "_parse_edge_list", lambda *args: calls.append(args) or one_pass(*args)
+            graphs, "_bulk_rows", lambda *args: calls.append(args) or bulk_rows(*args)
         )
         message = f"line {int(m) + 2}: duplicate edge {tuple(map(int, lines[-1].split()[1:]))}"
         assert outcome(parse_edge_list, text) == (GraphParseError, message)
-        assert len(calls) == passes
+        assert len(calls) == entries
 
-    def test_only_the_other_lines_meet_the_line_rules(self):
-        # A comment, a blank line or an 'e' line with a trailing space inside a
-        # run of canonical lines goes through the line rules, and so does the
-        # line before a comment or a blank line, whose last token the split
-        # joins to the next line's first word; the bulk lane reads the rest.
-        # The line rules read each endpoint with int(), the 'p' line its counts.
+    @pytest.mark.parametrize("slice_chars", SLICE_CHARS)
+    @pytest.mark.parametrize("header", ["", "c x\n", "c x\r"], ids=["bare", "lf", "cr"])
+    def test_the_bulk_reader_is_entered_at_most_once(self, monkeypatch, header, slice_chars):
+        # Right after the dense 'p' line, and once only: also where a comment
+        # puts the 'p' line mid-slice (at 9 characters, and at 1 after a lone
+        # CR), and where the bulk reader declines, for a comment in the body
+        # or for a duplicate edge. A sparse list never meets it.
+        g = generate("complete", 30)
+        lines = (header + encode_edge_list(g)).splitlines(keepends=True)
+        starts, bulk_rows = [], graphs._bulk_rows
+
+        def counting(text, pos, n, m):
+            starts.append(text[:pos])
+            return bulk_rows(text, pos, n, m)
+
+        monkeypatch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+        monkeypatch.setattr(graphs, "_bulk_rows", counting)
+        k = len(lines) - g.m  # the index of the first 'e' line
+        duplicated = [*lines[: k - 1], "p edge 30 436\n", *lines[k:], lines[k]]
+        variants = {
+            "".join(lines): g,
+            "".join([*lines[: k + 9], "c note\n", *lines[k + 9 :]]): g,
+            "".join(duplicated): (GraphParseError, f"line {k + 436}: duplicate edge (1, 2)"),
+        }
+        for text, result in variants.items():
+            starts.clear()
+            assert outcome(parse_edge_list, text) == result
+            assert starts == [text[: text.index("\ne ") + 1]]  # through the 'p' line
+        tree = header + encode_edge_list(generate("tree", 30, seed=1))
+        starts.clear()
+        assert parse_edge_list(tree) == generate("tree", 30, seed=1) and starts == []
+
+    def test_any_other_line_sends_the_whole_body_to_the_line_rules(self):
+        # A comment, a blank line or an 'e' line with a trailing space after the
+        # 'p' line makes the bulk reader decline, so every 'e' line meets the
+        # line rules, which read each endpoint with int(), the 'p' line its counts.
         g = generate("complete", 100)
         lines = encode_edge_list(g).splitlines()
         for i in (4000, 3000):
@@ -469,23 +506,16 @@ class TestEdgeList:
         for i, line in ((2500, ""), (1000, "c note"), (1, "c note")):
             lines.insert(i, line)
         calls = []
-
-        def counting_int(token, *base):
-            if not base:
-                calls.append(token)
-            return int(token, *base)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "int", counting_int, raising=False)
+            patch.setattr(graphs, "int", counting_int(calls), raising=False)
             assert parse_edge_list(_joined(lines)) == g
-        assert len(calls) == 2 + 2 * (2 + 2)
+        assert len(calls) == 2 + 2 * g.m
 
     @pytest.mark.parametrize("line_end", [" \n", "\t\n", "\n  "])
     def test_lines_that_only_look_canonical_take_few_blocks(self, line_end):
-        # A line ending in a space or a tab starts 'e <digit>' but fails the
-        # tables, so the bulk lane's slices shrink; a line starting with spaces
-        # may not be canonical at all. Either way the line rules then take a
-        # slice's lines at once instead of one line at a time.
+        # A line ending in a space or a tab, or starting with spaces, is not
+        # canonical, so the bulk reader declines at its first slice; the line
+        # rules then take a slice's lines at once, not one line at a time.
         g = generate("complete", 100)
         text = encode_edge_list(g).replace("\n", line_end)
         blocks = []
@@ -535,7 +565,7 @@ class TestEdgeList:
 
     @given(
         st.integers(20, 300),
-        # 8 * m >= n * n picks the dense lane: from p of about 1/4 up.
+        # 8 * m >= n * n offers the bulk reader the body: from p of about 1/4 up.
         st.sampled_from((0.02, 0.1, 0.22, 0.28, 0.5, 0.9, 1.0)),
         st.sampled_from(("canonical", "shuffled", "swapped")),
         st.sampled_from((None, *MUTATIONS)),
@@ -575,9 +605,9 @@ class TestEdgeList:
         ids=["comment", "crlf"],
     )
     def test_comment_and_crlf_inputs_peak_like_the_canonical_list(self, variant):
-        # Slices of canonical 'e' lines are parsed in bulk wherever they occur
-        # and with either line ending, so neither a leading comment nor CRLF
-        # sends the whole text through the line rules.
+        # The bulk reader takes the body after the 'p' line with either line
+        # ending, so neither a leading comment nor CRLF sends the body through
+        # the line rules.
         text = encode_edge_list(generate("complete", 300))
         assert parse_peak(variant(text)) <= 1.2 * parse_peak(text)
 
@@ -588,7 +618,7 @@ class TestEdgeList:
         assert parse_peak(f"p edge {EDGE_LIST_MAX_N} 0\n") < 2 * 2**20
 
     def test_a_sparse_list_builds_no_lookup_table(self):
-        # Only a dense list (8 * m >= n * n) takes the bulk lane and its two
+        # Only a dense list (8 * m >= n * n) meets the bulk reader and its two
         # tables; a tree or a path is read by the line rules alone.
         def no_table(*args):
             raise AssertionError("lookup table built for a sparse list")
