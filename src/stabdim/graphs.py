@@ -336,21 +336,60 @@ def twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]
     """Degree-1 vertices, then classes of >= 2 vertices with equal rows
     ``adj[a]`` (open twins) and with equal ``adj[a] | 1 << a`` (closed twins).
 
-    All lists ascend. Isolated vertices share the empty row but are no twins,
-    so they are left out; no other vertices of two components share a row.
+    All lists ascend, and the classes by first member. Isolated vertices share
+    the empty row but are no twins, so they are left out; no other vertices of
+    two components share a row.
+
+    One pass buckets each vertex by the signature (popcount, lowest bit, bit
+    length) of its open row, and by that of its closed row, which follows by
+    arithmetic: popcount + 1 and the extremes widened to ``a``. The leaves are
+    the popcounts of 1. No row is copied; ``_classes`` rereads only the rows
+    that share a signature.
     """
-    leaves = [a for a, row in enumerate(g.adj) if row.bit_count() == 1]
-    return leaves, _classes(g.adj), _classes([row | 1 << a for a, row in enumerate(g.adj)])
+    adj = g.adj
+    leaves: list[int] = []
+    open_first, closed_first, open_shared, closed_shared = {}, {}, {}, {}
+    for a, row in enumerate(adj):
+        if not row:
+            continue
+        count, low, length = row.bit_count(), (row & -row).bit_length() - 1, row.bit_length()
+        if count == 1:
+            leaves.append(a)
+        # A list only for a signature met again: most vertices cost none.
+        signature = (count, low, length)
+        b = open_first.setdefault(signature, a)
+        if b != a:
+            open_shared.setdefault(signature, [b]).append(a)
+        signature = (count + 1, low if low < a else a, length if length > a else a + 1)
+        b = closed_first.setdefault(signature, a)
+        if b != a:
+            closed_shared.setdefault(signature, [b]).append(a)
+    open_classes = _classes(open_shared, adj.__getitem__)
+    return leaves, open_classes, _classes(closed_shared, lambda a: adj[a] | 1 << a)
 
 
-def _classes(keys) -> list[list[int]]:
-    """Ascending index lists of the nonzero keys that occur at least twice, in
-    the order of each key's first occurrence: the one rule of both twin kinds."""
-    by_key: dict[bytes, list[int]] = {}
-    for a, key in enumerate(map(_row_key, keys)):
-        if key:
-            by_key.setdefault(key, []).append(a)
-    return [c for c in by_key.values() if len(c) > 1]
+def _classes(shared: dict, row_of) -> list[list[int]]:
+    """The classes of >= 2 vertices with equal rows ``row_of(a)``, each
+    ascending, ordered by first member: the one rule of both twin kinds.
+
+    ``shared`` maps a signature (popcount, lowest bit, bit length) to the
+    ascending vertices of two or more whose rows have it. A row of <= 2 bits
+    has no bit but its lowest and its top one, so its signature fixes it: such
+    a bucket is a class as it stands. Only a bucket of rows with >= 3 bits is
+    split, by ``_row_key`` bytes made for its members alone.
+    """
+    classes = []
+    for (count, _, _), members in shared.items():
+        if count <= 2:
+            classes.append(members)
+            continue
+        by_key: dict[bytes, list[int]] = {}
+        for a in members:
+            by_key.setdefault(_row_key(row_of(a)), []).append(a)
+        classes += [c for c in by_key.values() if len(c) > 1]
+    # The classes are disjoint, so their distinct first members decide the order.
+    classes.sort()
+    return classes
 
 
 def _row_key(row: int) -> bytes:

@@ -715,6 +715,89 @@ class TestTwinClasses:
         for rows in (g.adj, [row | 1 << a for a, row in enumerate(g.adj)]):
             assert len({hash(graphs._row_key(row)) for row in rows}) >= n // 2
 
+    @staticmethod
+    def count_row_keys(monkeypatch) -> list[int]:
+        """Record the rows ``_row_key`` is asked for."""
+        seen = []
+        row_key = graphs._row_key
+        monkeypatch.setattr(graphs, "_row_key", lambda row: seen.append(row) or row_key(row))
+        return seen
+
+    @pytest.mark.parametrize(
+        "edges,kind",
+        [
+            # Open rows {2, 3, 5} and {2, 4, 5}: popcount 3, lowest bit 2, length 6.
+            ([(0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (1, 5)], 1),
+            # Closed rows {0, 1, 2, 5} and {0, 1, 3, 5}: popcount 4, lowest bit 0, length 6.
+            ([(0, 1), (0, 2), (0, 5), (1, 3), (1, 5)], 2),
+        ],
+        ids=["open", "closed"],
+    )
+    def test_a_middle_bit_splits_a_shared_signature(self, monkeypatch, edges, kind):
+        seen = self.count_row_keys(monkeypatch)
+        g = Graph.from_edges(6, edges)
+        found = twin_classes(g)
+        assert found == reference_twin_classes(g)
+        assert [0, 1] not in found[kind]
+        # Only the two members of the shared >= 3-bit signature are read as bytes.
+        own_bit = kind == 2  # the closed kind keys adj[a] | 1 << a
+        assert seen == [g.adj[a] | own_bit << a for a in (0, 1)]
+
+    @pytest.mark.parametrize(
+        "edges,expected",
+        [
+            # Star: the leaves share the 1-bit row {0}.
+            ([(0, 1), (0, 2), (0, 3)], ([1, 2, 3], [[1, 2, 3]], [])),
+            # Cycle C4: opposite vertices share a 2-bit row; the edge 4-5 has
+            # closed rows {4, 5}.
+            ([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], ([4, 5], [[0, 2], [1, 3]], [[4, 5]])),
+            # Path 0-1-2 plus a triangle 3-4-5: the ends of the path share the
+            # 1-bit row {1}, and the triangle's closed rows are all {3, 4, 5}.
+            ([(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)], ([0, 2], [[0, 2]], [[3, 4, 5]])),
+        ],
+        ids=["star", "cycle", "path-and-triangle"],
+    )
+    def test_rows_of_one_or_two_bits_are_grouped_by_signature(self, monkeypatch, edges, expected):
+        seen = self.count_row_keys(monkeypatch)
+        g = Graph.from_edges(6, edges)
+        found = twin_classes(g)
+        assert found == expected == reference_twin_classes(g)
+        assert all(row.bit_count() >= 3 for row in seen)
+
+    @given(st.integers(3, 40), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_colliding_signatures_equal_the_reference(self, n, data):
+        # Every middle vertex is joined to 0 and to n - 1, so all their open and
+        # closed rows share the lowest bit 0 and the length n; only the popcount
+        # and the middle bits tell them apart.
+        middle = st.integers(1, n - 2)
+        edges = {(u, v) for u, v in data.draw(st.sets(st.tuples(middle, middle))) if u < v}
+        edges |= {(0, v) for v in range(1, n - 1)} | {(v, n - 1) for v in range(1, n - 1)}
+        if data.draw(st.booleans()):
+            edges.add((0, n - 1))
+        g = Graph.from_edges(n, edges)
+        assert twin_classes(g) == reference_twin_classes(g)
+
+    @pytest.mark.parametrize("shape", ["path", "fan", "star"])
+    def test_traced_peak_is_a_few_hundred_bytes_per_vertex(self, shape):
+        # Bytes keys for every row would copy each row once per twin kind,
+        # 2300-4400 bytes a vertex here; the signature buckets take 170-310.
+        n = 16384
+        if shape == "star":
+            g = generate("star", n)
+        else:
+            edges = [(i, i + 1) for i in range(n - 1)]
+            if shape == "fan":
+                edges += [(i, n - 1) for i in range(n - 2)]
+            g = Graph.from_edges(n, edges)
+        tracemalloc.start()
+        try:
+            twin_classes(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * n
+
 
 class TestGenerate:
     def test_families(self):
