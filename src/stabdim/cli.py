@@ -185,13 +185,7 @@ def _load_graph(args, cap: tuple[str, int] | None = None) -> tuple[Graph, str]:
     if kind != "family" and (args.n is not None or args.p is not None):
         raise UsageError("--n and --p only apply to --family")
     if kind == "file":
-        try:
-            with open(args.file, encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise GraphParseError(f"cannot read {args.file}: {exc}") from None
-        # A leading byte-order mark, as some editors write, is not part of the list.
-        g, source = parse_edge_list(text.removeprefix("\ufeff")), f"edge-list {args.file}"
+        g, source = _read_edge_list(args.file), f"edge-list {args.file}"
     elif kind == "graph6":
         g, source = parse_graph6(args.graph6), f"graph6 {args.graph6.strip()}"
     else:
@@ -208,6 +202,34 @@ def _load_graph(args, cap: tuple[str, int] | None = None) -> tuple[Graph, str]:
         return g, f"family {args.family}({detail})"
     _check_cap(cap, g.n)
     return g, source
+
+
+def _read_edge_list(path: str) -> Graph:
+    """The edge list in the file at ``path``. A file is parsed as it is read, a
+    window at a time; a pipe, which cannot be read twice, is read whole. One
+    leading byte-order mark, as some editors write, is not part of the list.
+    A file that is not UTF-8 is refused with the message a whole-file decode
+    gives, also when a line before the undecodable byte is at fault."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            try:
+                if not handle.seekable():
+                    return parse_edge_list(handle.read().removeprefix("\ufeff"))
+                try:
+                    if handle.read(1) != "\ufeff":
+                        handle.seek(0)
+                    return parse_edge_list(handle)
+                except (GraphParseError, ConstraintError):
+                    while handle.read(_BLOCK_CHARS):  # decode the rest: a bad byte comes first
+                        pass
+                    raise
+            except UnicodeDecodeError:
+                if handle.seekable():
+                    handle.buffer.seek(0)
+                    handle.buffer.read().decode("utf-8")  # raises the whole file's message
+                raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphParseError(f"cannot read {path}: {exc}") from None
 
 
 def _check_cap(cap: tuple[str, int] | None, n: int) -> None:

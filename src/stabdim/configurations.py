@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import ConstraintError
 from .graphs import Graph, is_connected, twin_classes
@@ -23,6 +23,8 @@ CLOSED_TWIN = "closed_twin"
 
 # The axes of O_p and O_q in each kind's generator O_p - O_q.
 AXES = {TWIN: ("X", "X"), LEAF: ("X", "Z"), CLOSED_TWIN: ("Y", "Y")}
+# The same axes as offsets of int slots 3v + axis: X 0, Y 1, Z 2.
+_AXIS_SLOTS = {kind: tuple("XYZ".index(axis) for axis in axes) for kind, axes in AXES.items()}
 
 
 class Configuration(namedtuple("Configuration", "kind a b")):
@@ -67,21 +69,28 @@ def analyze(g: Graph) -> Analysis:
     A class of k vertices spans the same slots, and the same exponent vectors,
     as a chain of k - 1 of its pairs, so neither the union-find nor the g2 rank
     reads more than n - 1 configurations, and the Theta(k^2) pairs are never built.
+    The chains go to them as int slot pairs and int exponent vectors, with no
+    ``Configuration`` or ``SlotPair`` record made.
     """
     leaf_vertices, open_classes, closed_classes = twin_classes(g)
     leaves = [(x, g.adj[x].bit_length() - 1) for x in leaf_vertices]
-    chains = [Configuration(LEAF, x, b) for x, b in leaves]
-    for kind, classes in ((TWIN, open_classes), (CLOSED_TWIN, closed_classes)):
-        chains += [Configuration(kind, x, b) for c in classes for x, b in zip(c, c[1:])]
+    twins = [pair for c in open_classes for pair in zip(c, c[1:])]
+    closed_twins = [pair for c in closed_classes for pair in zip(c, c[1:])]
     isolated = g.adj.count(0)
+    slots = []
+    for kind, pairs in ((LEAF, leaves), (TWIN, twins), (CLOSED_TWIN, closed_twins)):
+        p, q = _AXIS_SLOTS[kind]
+        slots += [(3 * x + p, 3 * b + q) for x, b in pairs]
+    # Made one at a time, as g2_rank reads them: each is an int of up to n bits.
+    vectors = chain((1 << x for x, _ in leaves), (1 << x | 1 << b for x, b in twins + closed_twins))
     return Analysis(
         n=g.n,
         connected=is_connected(g),
         leaves=leaves,
         open_classes=open_classes,
         closed_classes=closed_classes,
-        dimension=isolated + slot_span_rank(lie_generator(c) for c in chains),
-        g2=isolated + g2_rank(exponent_vector(c) for c in chains),
+        dimension=isolated + slot_span_rank(slots),
+        g2=isolated + g2_rank(vectors),
     )
 
 
@@ -139,7 +148,8 @@ def exponent_vector(c: Configuration) -> int:
 
 
 def slot_span_rank(pairs) -> int:
-    """Rank over the rationals of a set of O_p - O_q difference generators:
+    """Rank over the rationals of a set of O_p - O_q difference generators,
+    given as pairs (p, q) of slots (``SlotPair``s, or any two hashable keys):
     slots touched minus components of the slot graph, which is the number of
     pairs that join two components."""
     parent: dict = {}
@@ -150,8 +160,8 @@ def slot_span_rank(pairs) -> int:
         return k
 
     rank = 0
-    for pair in pairs:
-        root_p, root_q = find(pair.p), find(pair.q)
+    for p, q in pairs:
+        root_p, root_q = find(p), find(q)
         if root_p != root_q:
             parent[root_p] = root_q
             rank += 1

@@ -9,11 +9,13 @@ Two text formats are supported:
 * DIMACS-like edge lists: ``c`` comment lines, exactly one ``p edge <n> <m>``
   line (first non-comment line), then exactly ``m`` lines ``e <u> <v>`` with
   1-based endpoints, ``u != v``, no duplicates. ``n`` above
-  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. Line
-  rules read each line and name the first bad one. In a dense list
-  (8m >= n^2) whose lines after the ``p`` line are all canonical ``e`` lines
-  (``encode_edge_list``'s layout, LF or CRLF), a bulk reader takes them
-  instead, one bit per edge and then one transposition.
+  ``EDGE_LIST_MAX_N`` is refused (ConstraintError) on the ``p`` line. Both
+  readers take the text in windows of a str or of a text stream, each ending
+  at a line end, so a file is never held whole. Line rules read each line
+  and name the first bad one. In a dense list (8m >= n^2) whose lines after
+  the ``p`` line are all canonical ``e`` lines (``encode_edge_list``'s
+  layout, LF or CRLF), a bulk reader takes them instead, one bit per edge
+  and then a transposition a band of rows at a time.
 * graph6, one-byte size form only (1 <= n <= 62): printable bytes 63..126
   carrying 6 bits each, upper-triangle adjacency bits in column-major order
   (0,1), (0,2), (1,2), (0,3), ...  The multi-byte size forms (leading byte
@@ -34,8 +36,11 @@ a bounded draw is ``output % bound`` and G(n, p) keeps an edge iff
 from __future__ import annotations
 
 import io
+import os
 from collections import namedtuple
 from collections.abc import Iterator
+from functools import partial
+from itertools import chain
 
 from .errors import ConstraintError, GraphParseError
 
@@ -126,23 +131,29 @@ class Graph(namedtuple("Graph", "n adj")):
         return Graph.from_edges(len(vertices), kept)
 
 
-# Both readers take at most a slice at a time, to the first line end past
-# _SLICE_CHARS characters: that bounds the token and line lists alive at once.
-_SLICE_CHARS = 1 << 15
+# Both readers take the text a window at a time: _WINDOW_CHARS characters, then
+# on to the next line end. That bounds the text, tokens and lines alive at once.
+_WINDOW_CHARS = 1 << 13
+
+# The bulk reader writes out this many rows as bits at a time to transpose them.
+_BAND_ROWS = 256
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(source: str | io.TextIOBase) -> Graph:
     """Parse the DIMACS-like edge-list format (see module docstring) by the line
-    rules, the only reader that raises or names a line. A dense list (8m >= n^2,
-    with room in the text for m lines) is first offered, once, to ``_bulk_rows``
-    from the line after its ``p`` line; if that declines, the line rules read
-    on from there: the same graph or the same message either way."""
+    rules, the only reader that raises or names a line. ``source`` is a str or
+    a text stream, read a window at a time either way. A dense list (8m >= n^2,
+    with room for m lines: a str of 6m characters, a file of 6m bytes) is first
+    offered, once, to ``_bulk_rows`` from the line after its ``p`` line; if
+    that declines, the line rules read on from there: the same graph or the
+    same message either way."""
     n = m = None
-    found, lineno, pos = 0, 0, 0
-    while pos < len(text):
-        stop = text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)
+    found = lineno = pos = 0  # pos: the characters before the next window, a str's index
+    windows = _windows(source)
+    while (window := next(windows, None)) is not None:
+        pos += len(window)
         # Lines end at \n, \r\n or \r only, as in open().
-        lines = io.StringIO(text[pos:stop], newline="")
+        lines = io.StringIO(window, newline="")
         for raw in lines:
             lineno += 1
             tokens = raw.split()
@@ -167,12 +178,15 @@ def parse_edge_list(text: str) -> Graph:
                         f"line {lineno}: edge lists cap at n={EDGE_LIST_MAX_N}, got n={n}"
                     )
                 rows = [0] * n
-                if 8 * m >= n * n and len(text) >= 6 * m:  # dense, room for m lines
-                    stop = pos + lines.tell()  # on a decline, read on from a new slice
+                if 8 * m >= n * n and _size(source) >= 6 * m:  # dense, room for m lines
+                    rest = window[lines.tell():]
                     lines.close()  # frees its buffer, 4 bytes a character, before a bulk read
-                    dense = _bulk_rows(text, stop, n, m)
+                    pos -= len(rest)
+                    mark = pos if isinstance(source, str) else source.tell()
+                    dense = _bulk_rows(_body(source, mark, rest), n, m)
                     if dense is not None:
                         return Graph._from_symmetric_rows(n, dense)
+                    windows = _body(source, mark, rest)  # on a decline, read it again
                     break
             elif kind == "e":
                 if n is None:
@@ -194,7 +208,6 @@ def parse_edge_list(text: str) -> Graph:
                 found += 1
             else:
                 raise GraphParseError(f"line {lineno}: unknown line type {kind!r}")
-        pos = stop
     if n is None:
         raise GraphParseError("missing 'p edge <n> <m>' line")
     if found != m:
@@ -202,25 +215,59 @@ def parse_edge_list(text: str) -> Graph:
     return Graph._from_symmetric_rows(n, rows)
 
 
-def _bulk_rows(text: str, pos: int, n: int, m: int) -> list[int] | None:
-    """The rows of a body ``text[pos:]`` of exactly m canonical lines
-    ``e <u> <v>`` (``encode_edge_list``'s layout, LF or CRLF, in any order)
-    with no self-loop or duplicate, else None.
+def _windows(source: str | io.TextIOBase, pos: int = 0) -> Iterator[str]:
+    """The windows of a str from index ``pos``, or of a stream from where it
+    stands: _WINDOW_CHARS characters and the rest of the line they end in,
+    cut at the next \\n of a str, or ``read(k)`` then ``readline()``."""
+    if isinstance(source, str):
+        while pos < len(source):
+            stop = source.find("\n", pos + _WINDOW_CHARS) + 1 or len(source)
+            yield source[pos:stop]
+            pos = stop
+    else:
+        while window := source.read(_WINDOW_CHARS):
+            yield window + source.readline()
 
-    Each slice is split as ``(slice + "e").split(" ")``: its j lines are
+
+def _body(source: str | io.TextIOBase, mark: int, rest: str) -> Iterator[str]:
+    """The windows from the line after the ``p`` line, each call anew: a str's
+    from index ``mark``; a stream's ``rest`` of the ``p`` line's window, then
+    from ``seek(mark)``, the ``tell()`` at that window's end."""
+    if isinstance(source, str):
+        return _windows(source, mark)
+    source.seek(mark)
+    return chain((rest,) if rest else (), _windows(source))
+
+
+def _size(source: str | io.TextIOBase) -> int:
+    """The length of a str; the size in bytes of a stream's file, 0 for a
+    stream with no file, which the bulk reader then never meets."""
+    if isinstance(source, str):
+        return len(source)
+    try:
+        return os.fstat(source.fileno()).st_size
+    except (AttributeError, OSError):
+        return 0
+
+
+def _bulk_rows(windows: Iterator[str], n: int, m: int) -> list[int] | None:
+    """The rows of a body, given as ``windows`` that each end at a line end,
+    of exactly m canonical lines ``e <u> <v>`` (``encode_edge_list``'s layout,
+    LF or CRLF, in any order) with no self-loop or duplicate, else None.
+
+    Each window is split as ``(window + "e").split(" ")``: its j lines are
     canonical iff its odd tokens are keys of ``odd`` (1..n spelt out, so also
     the range check) and its even ones of ``even`` (those plus ``\\ne``, to
-    the bit of v). One bit per edge is ORed in and the rows are transposed once
-    at the end; a self-loop or duplicate sets fewer bits than it counts, so a
-    popcount total of 2m rules both out.
+    the bit of v). One bit per edge is ORed in and the rows are transposed at
+    the end, a band of rows at a time; a self-loop or duplicate sets fewer
+    bits than it counts, so a popcount total of 2m rules both out.
     """
     odd = dict(zip(map(str, range(1, n + 1)), range(n)))
     even = dict(zip([v + "\ne" for v in odd], map((1).__lshift__, range(n))))
     rows = [0] * n
     found = 0
-    while pos < len(text):
-        chunk = text[pos : text.find("\n", pos + _SLICE_CHARS) + 1 or len(text)]
-        tokens = (chunk.replace("\r\n", "\n").removesuffix("\n") + "\ne").split(" ")
+    for window in windows:
+        tokens = (window.replace("\r\n", "\n").removesuffix("\n") + "\ne").split(" ")
         if tokens[0] != "e":
             return None
         try:
@@ -229,12 +276,17 @@ def _bulk_rows(text: str, pos: int, n: int, m: int) -> list[int] | None:
                 rows[u] |= bit
         except KeyError:  # a line that is not canonical
             return None
-        found, pos = found + len(us), pos + len(chunk)
+        found += len(us)
     if found != m:
         return None
-    # The transposition holds 2 * n * n <= 16 * m characters, 2.7 per character of text.
-    bits = "".join([format(row, f"0{n}b") for row in rows])
-    rows = [row | int(bits[n - 1 - v :: n][::-1], 2) for v, row in enumerate(rows)]
+    # A band of rows u in [a, a + _BAND_ROWS), written out as bits highest u
+    # first, holds the band's part of column v as every n-th character, so
+    # each row v gains it by one int(s, 2). A bit that an earlier band added
+    # is the transpose of a bit held already, so reading it back adds nothing.
+    for a in range(0, n, _BAND_ROWS):
+        bits = "".join([format(row, f"0{n}b") for row in reversed(rows[a : a + _BAND_ROWS])])
+        for v in range(n):
+            rows[v] |= int(bits[n - 1 - v :: n], 2) << a
     return rows if sum(row.bit_count() for row in rows) == 2 * m else None
 
 
@@ -364,32 +416,67 @@ def twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]
         b = closed_first.setdefault(signature, a)
         if b != a:
             closed_shared.setdefault(signature, [b]).append(a)
-    open_classes = _classes(open_shared, adj.__getitem__)
-    return leaves, open_classes, _classes(closed_shared, lambda a: adj[a] | 1 << a)
+    open_classes = _classes(open_shared, lambda members: map(adj.__getitem__, members))
+    return leaves, open_classes, _classes(closed_shared, partial(_closed_rows, adj))
 
 
-def _classes(shared: dict, row_of) -> list[list[int]]:
-    """The classes of >= 2 vertices with equal rows ``row_of(a)``, each
-    ascending, ordered by first member: the one rule of both twin kinds.
+def _closed_rows(adj: tuple[int, ...], members: list[int]) -> Iterator[int]:
+    """The rows ``adj[a] | 1 << a`` of ``members``, made in C."""
+    return map(int.__or__, map(adj.__getitem__, members), map((1).__lshift__, members))
+
+
+def _classes(shared: dict, rows_of) -> list[list[int]]:
+    """The classes of >= 2 vertices with equal rows, which ``rows_of(members)``
+    gives in turn, each class ascending and ordered by first member: the one
+    rule of both twin kinds.
 
     ``shared`` maps a signature (popcount, lowest bit, bit length) to the
     ascending vertices of two or more whose rows have it. A row of <= 2 bits
     has no bit but its lowest and its top one, so its signature fixes it: such
-    a bucket is a class as it stands. Only a bucket of rows with >= 3 bits is
-    split, by ``_row_key`` bytes made for its members alone.
+    a bucket is a class as it stands. A bucket of two rows with >= 3 bits is
+    a class if they are equal; a larger one is split by each row's residue
+    modulo ``_RESIDUE_PRIME``, which copies no row. Rows that share a residue
+    are a class if all are equal; only where they are not are they split
+    further, by ``_row_key`` bytes made for them alone.
     """
     classes = []
     for (count, _, _), members in shared.items():
         if count <= 2:
             classes.append(members)
             continue
-        by_key: dict[bytes, list[int]] = {}
-        for a in members:
-            by_key.setdefault(_row_key(row_of(a)), []).append(a)
-        classes += [c for c in by_key.values() if len(c) > 1]
+        if len(members) == 2:  # a sparse graph's usual shared bucket
+            first, second = rows_of(members)
+            if first == second:
+                classes.append(members)
+            continue
+        residues = list(map(_RESIDUE_PRIME.__rmod__, rows_of(members)))
+        if len(set(residues)) == len(residues):
+            continue  # rows of distinct residues all differ: a dense graph's usual bucket
+        by_residue: dict[int, list[int]] = {}
+        for a, residue in zip(members, residues):
+            by_residue.setdefault(residue, []).append(a)
+        for group in by_residue.values():
+            if len(group) < 2:
+                continue
+            rows = rows_of(group)
+            if all(map(next(rows).__eq__, rows)):  # each row against the first
+                classes.append(group)
+                continue
+            by_key: dict[bytes, list[int]] = {}
+            for a, key in zip(group, map(_row_key, rows_of(group))):
+                by_key.setdefault(key, []).append(a)
+            classes += [c for c in by_key.values() if len(c) > 1]
     # The classes are disjoint, so their distinct first members decide the order.
     classes.sort()
     return classes
+
+
+# A prime below 2**30, so a residue is one C division by one digit. Modulo it 2
+# has an order past 2**17 > EDGE_LIST_MAX_N, so rows that differ in one bit
+# leave different residues. CPython's int hash is a residue modulo 2**61 - 1,
+# where bits a and a + 61 count alike: the rows of a complete graph, each the
+# full set less one bit, would share a hash in threes.
+_RESIDUE_PRIME = 1073741789
 
 
 def _row_key(row: int) -> bytes:

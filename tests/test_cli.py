@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -18,9 +19,17 @@ from helpers import graphs_strategy, reference_report
 from stabdim import cli, graphs, oracle
 from stabdim.cli import format_report, run
 from stabdim.configurations import analyze
-from stabdim.errors import ConsistencyError
-from stabdim.graphs import Graph, encode_edge_list, encode_graph6, generate
+from stabdim.errors import ConsistencyError, GraphParseError
+from stabdim.graphs import (
+    EDGE_LIST_MAX_N,
+    Graph,
+    encode_edge_list,
+    encode_graph6,
+    generate,
+    parse_edge_list,
+)
 from stabdim.theorem import check_equivalence
+from test_graphs import MUTATIONS, VALID_MUTATIONS, WINDOW_CHARS, _joined, outcome
 
 
 def run_capture(capsys, argv):
@@ -741,6 +750,175 @@ class TestLineEnds:
         assert TestByteOrderMark.machine_report(capsys, tmp_path, data) == (
             2, "", "parse error: line 4: duplicate edge (1, 2)\n"
         )
+
+
+def whole_file_outcome(path):
+    """What reading ``path`` whole gives: decode it all as UTF-8 (else refuse
+    it with that decode's message), end lines at \\n, \\r\\n or \\r as
+    ``open()`` does, drop one leading U+FEFF and parse the text."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return GraphParseError, f"cannot read {path}: {exc}"
+    text = text.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
+    return outcome(parse_edge_list, text)
+
+
+def file_outcome(path):
+    """What ``--file`` reads from ``path``, a window at a time."""
+    return outcome(cli._read_edge_list, str(path))
+
+
+# Each turns the text of a list into the bytes of a file.
+FILE_LAYOUTS = {
+    "lf": str.encode,
+    "bom": lambda text: b"\xef\xbb\xbf" + text.encode(),
+    "crlf": lambda text: text.replace("\n", "\r\n").encode(),
+    "cr": lambda text: text.replace("\n", "\r").encode(),
+}
+
+
+class TestStreamedEdgeList:
+    """``--file`` hands the open file to the parser, which reads it a window at
+    a time; the graph, or the message, is the one the whole text gives."""
+
+    @given(
+        st.integers(2, 120),
+        st.sampled_from((0.1, 0.5, 0.9, 1.0)),
+        st.sampled_from((None, *MUTATIONS, *VALID_MUTATIONS)),
+        st.sampled_from(sorted(FILE_LAYOUTS)),
+        st.sampled_from(WINDOW_CHARS),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_file_gives_what_its_whole_text_gives(
+        self, tmp_path_factory, n, p, mutate, layout, window_chars, undecodable, data
+    ):
+        # Dense lists meet the bulk reader, which may decline in any window;
+        # sparse ones meet only the line rules. An undecodable byte anywhere
+        # is refused with the whole-file decode's message.
+        g = generate("gnp", n, p, data.draw(st.integers(0, 2**32)))
+        lines = encode_edge_list(g).splitlines()
+        i = data.draw(st.integers(1, max(len(lines) - 1, 1)))
+        text = mutate(lines, i, n) if mutate and len(lines) > 1 else _joined(lines)
+        raw = FILE_LAYOUTS[layout](text)
+        if undecodable:
+            cut = data.draw(st.integers(0, len(raw)))
+            raw = raw[:cut] + b"\xff" + raw[cut:]
+        path = tmp_path_factory.mktemp("lists") / "input.col"
+        path.write_bytes(raw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_WINDOW_CHARS", window_chars)
+            assert file_outcome(path) == whole_file_outcome(path)
+
+    @pytest.mark.parametrize("window_chars", WINDOW_CHARS)
+    @pytest.mark.parametrize("layout", sorted(FILE_LAYOUTS))
+    @pytest.mark.parametrize("fault", ["comment", "duplicate"])
+    def test_the_bulk_reader_declines_past_a_window_end(
+        self, monkeypatch, tmp_path, fault, layout, window_chars
+    ):
+        # complete n = 150 is 11175 lines; the last one is past the first
+        # window. The bulk reader reads up to it and declines, and the line
+        # rules read the body again from the line after 'p'.
+        g = generate("complete", 150)
+        lines = encode_edge_list(g).splitlines()
+        if fault == "comment":
+            text, expected = _joined([*lines[:-1], "c note", lines[-1]]), g
+        else:
+            text = _joined([f"p edge 150 {g.m + 1}", *lines[1:], lines[1]])
+            expected = (GraphParseError, f"line {g.m + 2}: duplicate edge (1, 2)")
+        path = tmp_path / "input.col"
+        path.write_bytes(FILE_LAYOUTS[layout](text))
+        monkeypatch.setattr(graphs, "_WINDOW_CHARS", window_chars)
+        calls, bulk_rows = [], graphs._bulk_rows
+        monkeypatch.setattr(graphs, "_bulk_rows", lambda *args: calls.append(1) or bulk_rows(*args))
+        assert file_outcome(path) == expected == whole_file_outcome(path)
+        assert len(calls) == 2  # one read of each file, the whole text's among them
+
+    @pytest.mark.parametrize("window_chars", WINDOW_CHARS)
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "p edge 2 1\ne 1 1\n",
+            f"p edge {EDGE_LIST_MAX_N + 1} 0\n",
+            "c one\np edge 3 2\ne 1 2\ne 1\n",
+            encode_edge_list(generate("complete", 150)),
+        ],
+        ids=["self-loop", "over-cap", "short-line", "dense"],
+    )
+    def test_an_undecodable_byte_outranks_an_earlier_fault(
+        self, capsys, monkeypatch, tmp_path, head, window_chars
+    ):
+        # The bad byte lies 40000 bytes past the head, so the file is
+        # decoded up to the head's fault (or, for the dense list, read
+        # through the bulk reader) before the byte is met; the refusal and
+        # its position are still the whole file's.
+        raw = head.encode() + b"c " + b"x" * 40000 + b"\n\xff\n"
+        path = tmp_path / "input.col"
+        path.write_bytes(raw)
+        monkeypatch.setattr(graphs, "_WINDOW_CHARS", window_chars)
+        message = (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(raw) - 2}: invalid start byte"
+        )
+        assert file_outcome(path) == (GraphParseError, message) == whole_file_outcome(path)
+        assert run_capture(capsys, ["analyze", "--file", str(path)]) == (
+            2, "", f"parse error: {message}\n"
+        )
+
+    def test_no_read_without_a_size(self, capsys, monkeypatch, tmp_path):
+        # A handle whose unbounded read() raises: analyze reads every file in
+        # windows, dense or sparse, valid or faulty, also after a byte-order
+        # mark and past a decline of the bulk reader.
+        class SizedReadsOnly(io.TextIOWrapper):
+            def read(self, size=-1):
+                if size is None or size < 0:
+                    raise AssertionError("read() without a size")
+                return super().read(size)
+
+        opened = []
+
+        def opener(file, encoding):
+            opened.append(file)
+            return SizedReadsOnly(open(file, "rb"), encoding=encoding)
+
+        monkeypatch.setattr(cli, "open", opener, raising=False)
+        dense = encode_edge_list(generate("complete", 150))
+        texts = {
+            "dense": dense,
+            "bom": "\ufeff" + dense,
+            "sparse": encode_edge_list(generate("tree", 3000, seed=1)),
+            "declined": dense + "c note\n",
+            "faulty": dense.replace("p edge 150 11175", "p edge 150 11176") + "e 1 2\n",
+        }
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.col"
+            path.write_text(text, encoding="utf-8")
+            code, _, err = run_capture(capsys, ["analyze", "--file", str(path), "--format", "machine"])
+            assert (code, err) == ((2, "parse error: line 11177: duplicate edge (1, 2)\n")
+                                   if name == "faulty" else (0, ""))
+        assert opened == [str(tmp_path / f"{name}.col") for name in texts]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("tail", [b"", b"e 1 2\n\xff\n"], ids=["valid", "undecodable"])
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_a_pipe_is_read_whole(self, capsys, tmp_path, mark, tail):
+        # A pipe can neither seek back past a byte-order mark nor be decoded
+        # twice, so it is read whole: the same report, or the same refusal,
+        # with the bad byte 100 KB in, as the file with its bytes.
+        raw = mark + encode_edge_list(generate("complete", 150)).encode() + tail
+        path, fifo = tmp_path / "input.col", tmp_path / "input.fifo"
+        path.write_bytes(raw)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        piped = run_capture(capsys, ["analyze", "--file", str(fifo), "--format", "machine"])
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        filed = run_capture(capsys, ["analyze", "--file", str(path), "--format", "machine"])
+        assert piped == (filed[0], filed[1], filed[2].replace(str(path), str(fifo)))
+        assert piped[0] == (2 if tail else 0)
 
 
 class TestSelftest:

@@ -97,8 +97,8 @@ def parse_peak(text):
         tracemalloc.stop()
 
 
-# Slice lengths for both readers: one or a few lines per slice, and the real one.
-SLICE_CHARS = (1, 9, graphs._SLICE_CHARS)
+# Window lengths for both readers: one or a few lines per window, and the real one.
+WINDOW_CHARS = (1, 9, graphs._WINDOW_CHARS)
 
 
 def _joined(lines):
@@ -355,9 +355,9 @@ class TestEdgeList:
         with pytest.raises(ConstraintError, match=f"cap at n={EDGE_LIST_MAX_N}, got n={n}"):
             parse_edge_list(f"p edge {n} 0\ne 1 2")
 
-    @given(graphs_strategy(max_n=12), st.sampled_from(SLICE_CHARS))
+    @given(graphs_strategy(max_n=12), st.sampled_from(WINDOW_CHARS))
     @settings(max_examples=60)
-    def test_canonical_layout_takes_the_bulk_path(self, g, slice_chars):
+    def test_canonical_layout_takes_the_bulk_path(self, g, window_chars):
         # The line rules read each endpoint with int(); the bulk reader reads a
         # dense list's from its tables, so only the 'p' line's two counts call
         # int() with one argument (the transposition calls int(s, 2)), after a
@@ -369,7 +369,7 @@ class TestEdgeList:
         text = encode_edge_list(g)
         variants = (text, text.replace("\n", "\r\n"), "c header\n" + text, text.rstrip("\n"))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+            patch.setattr(graphs, "_WINDOW_CHARS", window_chars)
             for variant in variants:
                 assert line_by_line(variant) == g
             patch.setattr(graphs, "int", counting_int(calls), raising=False)
@@ -378,6 +378,27 @@ class TestEdgeList:
                 assert parse_edge_list(variant) == g
                 assert len(calls) == expected
 
+    @given(
+        st.integers(2, 40),
+        st.sampled_from((0.3, 0.6, 1.0)),
+        st.sampled_from((1, 3, 16, graphs._BAND_ROWS)),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bands_of_any_height_transpose_the_same(self, n, p, band_rows, data):
+        # The bulk reader transposes a band of rows at a time; a band of one
+        # row, of a few, or all rows in one band give the same graph, also with
+        # the lines shuffled and their endpoints swapped.
+        g = generate("gnp", n, p, data.draw(st.integers(0, 2**32)))
+        lines = encode_edge_list(g).splitlines()
+        body = [f"e {v} {u}" if data.draw(st.booleans()) else f"e {u} {v}"
+                for u, v in map(_endpoints, data.draw(st.permutations(lines[1:])))]
+        text = _joined([lines[0], *body])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_BAND_ROWS", band_rows)
+            assert graphs._bulk_rows(iter([_joined(body)] if body else []), n, g.m) == list(g.adj)
+            assert parse_edge_list(text) == line_by_line(text) == g
+
     @given(graphs_strategy(min_n=2, max_n=10).filter(lambda g: g.m), st.data())
     @settings(max_examples=400)
     def test_bulk_and_line_loop_agree_on_mutations(self, g, data):
@@ -385,7 +406,7 @@ class TestEdgeList:
         lines = encode_edge_list(g).splitlines()
         text = mutate(lines, data.draw(st.integers(1, len(lines) - 1)), g.n)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_SLICE_CHARS", data.draw(st.sampled_from(SLICE_CHARS)))
+            patch.setattr(graphs, "_WINDOW_CHARS", data.draw(st.sampled_from(WINDOW_CHARS)))
             assert outcome(parse_edge_list, text) == outcome(line_by_line, text)
 
     @given(graphs_strategy(min_n=2, max_n=10).filter(lambda g: g.m), st.data())
@@ -393,7 +414,7 @@ class TestEdgeList:
     def test_bulk_and_line_loop_agree_on_stacked_mutations(self, g, data):
         text = stacked(encode_edge_list(g), g.n, data, data.draw(st.integers(2, 3)))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_SLICE_CHARS", data.draw(st.sampled_from(SLICE_CHARS)))
+            patch.setattr(graphs, "_WINDOW_CHARS", data.draw(st.sampled_from(WINDOW_CHARS)))
             assert outcome(parse_edge_list, text) == outcome(line_by_line, text)
 
     @pytest.mark.parametrize(
@@ -434,18 +455,18 @@ class TestEdgeList:
         ],
     )
     def test_first_bad_line_named_after_a_bulk_run(self, text, message):
-        for slice_chars in SLICE_CHARS:
+        for window_chars in WINDOW_CHARS:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+                patch.setattr(graphs, "_WINDOW_CHARS", window_chars)
                 assert outcome(parse_edge_list, text) == (GraphParseError, message)
         assert outcome(line_by_line, text) == (GraphParseError, message)
 
     def test_a_duplicate_in_a_dense_slice_is_refused(self):
-        # A dense slice ORs in one bit per edge, so the duplicate sets none:
+        # A dense window ORs in one bit per edge, so the duplicate sets none:
         # the popcount total, taken after the transposition, falls short, the
         # bulk reader declines and the line rules name the duplicate.
         text = "p edge 4 4\ne 1 2\ne 1 2\ne 1 3\ne 1 4\n"
-        assert graphs._bulk_rows(text, text.index("e"), 4, 4) is None
+        assert graphs._bulk_rows(iter([text[text.index("e"):]]), 4, 4) is None
         assert outcome(parse_edge_list, text) == (GraphParseError, "line 3: duplicate edge (1, 2)")
 
     @pytest.mark.parametrize("family,entries", [("tree", 0), ("complete", 1)])
@@ -463,22 +484,23 @@ class TestEdgeList:
         assert outcome(parse_edge_list, text) == (GraphParseError, message)
         assert len(calls) == entries
 
-    @pytest.mark.parametrize("slice_chars", SLICE_CHARS)
+    @pytest.mark.parametrize("window_chars", WINDOW_CHARS)
     @pytest.mark.parametrize("header", ["", "c x\n", "c x\r"], ids=["bare", "lf", "cr"])
-    def test_the_bulk_reader_is_entered_at_most_once(self, monkeypatch, header, slice_chars):
+    def test_the_bulk_reader_is_entered_at_most_once(self, monkeypatch, header, window_chars):
         # Right after the dense 'p' line, and once only: also where a comment
-        # puts the 'p' line mid-slice (at 9 characters, and at 1 after a lone
+        # puts the 'p' line mid-window (at 9 characters, and at 1 after a lone
         # CR), and where the bulk reader declines, for a comment in the body
         # or for a duplicate edge. A sparse list never meets it.
         g = generate("complete", 30)
         lines = (header + encode_edge_list(g)).splitlines(keepends=True)
         starts, bulk_rows = [], graphs._bulk_rows
 
-        def counting(text, pos, n, m):
-            starts.append(text[:pos])
-            return bulk_rows(text, pos, n, m)
+        def counting(windows, n, m):
+            windows = list(windows)
+            starts.append("".join(windows))
+            return bulk_rows(iter(windows), n, m)
 
-        monkeypatch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+        monkeypatch.setattr(graphs, "_WINDOW_CHARS", window_chars)
         monkeypatch.setattr(graphs, "_bulk_rows", counting)
         k = len(lines) - g.m  # the index of the first 'e' line
         duplicated = [*lines[: k - 1], "p edge 30 436\n", *lines[k:], lines[k]]
@@ -490,7 +512,7 @@ class TestEdgeList:
         for text, result in variants.items():
             starts.clear()
             assert outcome(parse_edge_list, text) == result
-            assert starts == [text[: text.index("\ne ") + 1]]  # through the 'p' line
+            assert starts == [text[text.index("\ne ") + 1 :]]  # from the line after 'p'
         tree = header + encode_edge_list(generate("tree", 30, seed=1))
         starts.clear()
         assert parse_edge_list(tree) == generate("tree", 30, seed=1) and starts == []
@@ -514,8 +536,8 @@ class TestEdgeList:
     @pytest.mark.parametrize("line_end", [" \n", "\t\n", "\n  "])
     def test_lines_that_only_look_canonical_take_few_blocks(self, line_end):
         # A line ending in a space or a tab, or starting with spaces, is not
-        # canonical, so the bulk reader declines at its first slice; the line
-        # rules then take a slice's lines at once, not one line at a time.
+        # canonical, so the bulk reader declines at its first window; the line
+        # rules then take a window's lines at once, not one line at a time.
         g = generate("complete", 100)
         text = encode_edge_list(g).replace("\n", line_end)
         blocks = []
@@ -533,12 +555,12 @@ class TestEdgeList:
         st.integers(20, 150),
         st.sampled_from((0.1, 0.5, 1.0)),
         st.lists(st.sampled_from(VALID_MUTATIONS), min_size=1, max_size=30),
-        st.sampled_from((*SLICE_CHARS, 100)),
+        st.sampled_from((*WINDOW_CHARS, 100)),
         st.data(),
     )
     @settings(max_examples=40, deadline=None)
     def test_runs_broken_by_other_lines_agree_with_the_line_rules(
-        self, n, p, mutations, slice_chars, data
+        self, n, p, mutations, window_chars, data
     ):
         # Up to 30 lines that are valid but not canonical, anywhere in a dense
         # list or in a sparse one, which meets only the line rules: the same
@@ -551,16 +573,16 @@ class TestEdgeList:
             if canonical:
                 text = mutate(lines, data.draw(st.sampled_from(canonical)), n)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+            patch.setattr(graphs, "_WINDOW_CHARS", window_chars)
             assert parse_edge_list(text) == line_by_line(text) == g
 
     @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__)
     def test_mutations_past_the_first_slice(self, mutate):
-        # 4950 lines: the mutated last line lies in the second slice.
+        # 4950 lines: the mutated last line lies past the first window.
         g = generate("complete", 100)
         lines = encode_edge_list(g).splitlines()
         text = mutate(lines, len(lines) - 1, g.n)
-        assert len(text) > graphs._SLICE_CHARS
+        assert len(text) > graphs._WINDOW_CHARS
         assert outcome(parse_edge_list, text) == outcome(line_by_line, text)
 
     @given(
@@ -569,15 +591,15 @@ class TestEdgeList:
         st.sampled_from((0.02, 0.1, 0.22, 0.28, 0.5, 0.9, 1.0)),
         st.sampled_from(("canonical", "shuffled", "swapped")),
         st.sampled_from((None, *MUTATIONS)),
-        st.sampled_from(SLICE_CHARS),
+        st.sampled_from(WINDOW_CHARS),
         st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_both_lanes_agree_with_the_line_rules(self, n, p, layout, mutate, slice_chars, data):
+    def test_both_lanes_agree_with_the_line_rules(self, n, p, layout, mutate, window_chars, data):
         # Dense lists, and sparse ones that meet only the line rules, in
         # canonical order, with the 'e' lines shuffled or their endpoints
         # swapped, and each mutation (CRLF, a comment, no final newline among
-        # them) on a line next to a slice end.
+        # them) on a line next to a window end.
         g = generate("gnp", n, p, data.draw(st.integers(0, 2**32)))
         lines = encode_edge_list(g).splitlines()
         if layout == "shuffled":
@@ -586,15 +608,15 @@ class TestEdgeList:
             lines[1:] = [f"e {v} {u}" for u, v in map(_endpoints, lines[1:])]
         text = _joined(lines)
         if mutate and g.m:
-            starts, pos = [1], len(lines[0]) + 1  # line numbers, from 0, of slice starts
+            starts, pos = [1], len(lines[0]) + 1  # line numbers, from 0, of window starts
             while pos < len(text):
-                stop = text.find("\n", pos + slice_chars) + 1 or len(text)
+                stop = text.find("\n", pos + window_chars) + 1 or len(text)
                 starts.append(starts[-1] + text.count("\n", pos, stop))
                 pos = stop
             i = data.draw(st.sampled_from(starts)) - data.draw(st.integers(0, 1))
             text = mutate(lines, min(max(i, 1), len(lines) - 1), n)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_SLICE_CHARS", slice_chars)
+            patch.setattr(graphs, "_WINDOW_CHARS", window_chars)
             assert outcome(parse_edge_list, text) == outcome(line_by_line, text)
         if mutate is None:
             assert parse_edge_list(text) == g
@@ -739,9 +761,62 @@ class TestTwinClasses:
         found = twin_classes(g)
         assert found == reference_twin_classes(g)
         assert [0, 1] not in found[kind]
-        # Only the two members of the shared >= 3-bit signature are read as bytes.
-        own_bit = kind == 2  # the closed kind keys adj[a] | 1 << a
-        assert seen == [g.adj[a] | own_bit << a for a in (0, 1)]
+        # One comparison tells the two rows of the shared >= 3-bit signature
+        # apart, so no row is read as bytes.
+        assert seen == []
+
+    def test_rows_that_share_a_signature_and_a_residue_are_read_as_bytes(self, monkeypatch):
+        # Modulo 7, bit 6 is bit 3: of the open rows {0, 3, 9}, {0, 6, 9} and
+        # {0, 4, 9} of vertices 11, 12 and 13, which share their popcount,
+        # lowest bit and bit length, the first two share a residue, and only
+        # they become bytes. The ends 0 and 9 share their row, a bucket of two
+        # that one comparison makes a class.
+        monkeypatch.setattr(graphs, "_RESIDUE_PRIME", 7)
+        seen = self.count_row_keys(monkeypatch)
+        edges = [(11, 0), (11, 3), (11, 9), (12, 0), (12, 6), (12, 9), (13, 0), (13, 4), (13, 9)]
+        g = Graph.from_edges(14, edges)
+        found = twin_classes(g)
+        assert found == reference_twin_classes(g)
+        assert found[1] == [[0, 9]]
+        assert seen == [g.adj[11], g.adj[12]]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate("complete", 200),
+            Graph.from_edges(200, [(u, v) for u in range(100) for v in range(100, 200)]),
+        ],
+        ids=["complete", "bipartite"],
+    )
+    def test_equal_rows_and_rows_one_bit_apart_need_no_bytes(self, monkeypatch, g):
+        # A complete graph's open rows are the full set less one bit each:
+        # their int hashes collide in threes, their residues differ. Its
+        # closed rows, and each side's open rows of a complete bipartite
+        # graph, are all equal: one residue and one class, with no bytes.
+        seen = self.count_row_keys(monkeypatch)
+        assert twin_classes(g) == reference_twin_classes(g)
+        assert seen == []
+        if g.m == g.n * (g.n - 1) // 2:
+            assert len({hash(row) for row in g.adj}) < g.n
+
+    def test_the_residue_prime_tells_single_bits_apart(self):
+        # 2 has an order past 2**17 modulo the prime, so no two bits of a row
+        # of up to EDGE_LIST_MAX_N vertices leave the same residue.
+        prime, power = graphs._RESIDUE_PRIME, 1
+        assert prime < 2**30 and all(prime % d for d in range(2, 32768))
+        for _ in range(2**17):
+            power = power * 2 % prime
+            assert power != 1
+
+    @given(graphs_strategy(max_n=9), st.sampled_from((1, 2, 3, 7)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_residues_that_collide_equal_the_reference(self, g, prime, data):
+        # Modulo a tiny prime most rows share a residue, so every group meets
+        # the equality check and many the bytes split.
+        h = relabel(g, data.draw(st.permutations(range(g.n))))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_RESIDUE_PRIME", prime)
+            assert twin_classes(h) == reference_twin_classes(h)
 
     @pytest.mark.parametrize(
         "edges,expected",
