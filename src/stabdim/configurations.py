@@ -52,6 +52,9 @@ class Analysis(
     lists of >= 2 open and closed twins. A class of k vertices stands for its
     C(k, 2) twin pairs, which ``pair_runs`` and ``iter_configurations`` write
     out on demand: no pair is held.
+    ``dimension`` is the union-find rank of the classes' chains and the leaves,
+    and ``g2`` their GF(2) rank, eliminated over each weight-<=2 vector's
+    support, so neither holds more than a small int or two per vertex.
     ``dimension``, ``g2`` and ``pauli``'s fast element list all come from the
     same twin classes, so their agreement is no independent check (brute
     enumeration and the oracle are).
@@ -69,20 +72,21 @@ def analyze(g: Graph) -> Analysis:
     A class of k vertices spans the same slots, and the same exponent vectors,
     as a chain of k - 1 of its pairs, so neither the union-find nor the g2 rank
     reads more than n - 1 configurations, and the Theta(k^2) pairs are never built.
-    The chains go to them as int slot pairs and int exponent vectors, with no
-    ``Configuration`` or ``SlotPair`` record made.
+    The chains go to them straight from the classes, one pair at a time, as int
+    slot pairs and as supports, with no ``Configuration`` or ``SlotPair`` record
+    and no exponent vector made.
     """
     leaf_vertices, open_classes, closed_classes = twin_classes(g)
     leaves = [(x, g.adj[x].bit_length() - 1) for x in leaf_vertices]
-    twins = [pair for c in open_classes for pair in zip(c, c[1:])]
-    closed_twins = [pair for c in closed_classes for pair in zip(c, c[1:])]
     isolated = g.adj.count(0)
-    slots = []
-    for kind, pairs in ((LEAF, leaves), (TWIN, twins), (CLOSED_TWIN, closed_twins)):
-        p, q = _AXIS_SLOTS[kind]
-        slots += [(3 * x + p, 3 * b + q) for x, b in pairs]
-    # Made one at a time, as g2_rank reads them: each is an int of up to n bits.
-    vectors = chain((1 << x for x, _ in leaves), (1 << x | 1 << b for x, b in twins + closed_twins))
+    slots = chain(
+        _slot_pairs(LEAF, leaves),
+        _slot_pairs(TWIN, _chains(open_classes)),
+        _slot_pairs(CLOSED_TWIN, _chains(closed_classes)),
+    )
+    # A leaf x gives the vector of one bit, a chain pair (x, b) of two: as
+    # supports (-1, x) and (x, b), never as ints of up to n bits.
+    supports = chain(((-1, x) for x, _ in leaves), _chains(open_classes), _chains(closed_classes))
     return Analysis(
         n=g.n,
         connected=is_connected(g),
@@ -90,8 +94,35 @@ def analyze(g: Graph) -> Analysis:
         open_classes=open_classes,
         closed_classes=closed_classes,
         dimension=isolated + slot_span_rank(slots),
-        g2=isolated + g2_rank(vectors),
+        g2=isolated + _support_rank(supports),
     )
+
+
+def _chains(classes: list[list[int]]) -> Iterator[tuple[int, int]]:
+    """The pairs (x, b) of each class's chain: its members side by side, x < b."""
+    return (pair for c in classes for pair in zip(c, c[1:]))
+
+
+def _slot_pairs(kind: str, pairs) -> Iterator[tuple[int, int]]:
+    """The int slot pairs (3x + axis, 3b + axis) of ``kind``'s generators on ``pairs``."""
+    p, q = _AXIS_SLOTS[kind]
+    return ((3 * x + p, 3 * b + q) for x, b in pairs)
+
+
+def _support_rank(supports) -> int:
+    """``g2_rank`` of the vectors of at most two bits given as supports (lo, hi),
+    lo < hi, with lo = -1 for the one-bit vector of hi.
+
+    The same elimination, one pivot per top bit, on supports: XOR with the
+    pivot (p, hi) of the same top bit hi leaves the two low indices {lo, p},
+    zero if they are equal, so no index beyond a vertex's is ever made.
+    """
+    pivots: dict[int, int] = {}  # top bit -> the pivot's low index
+    for lo, hi in supports:
+        # A new top bit takes (lo, hi) as its pivot; an equal low index cancels.
+        while (p := pivots.setdefault(hi, lo)) != lo:
+            lo, hi = (lo, p) if lo < p else (p, lo)
+    return len(pivots)
 
 
 def pair_runs(classes: list[list[int]]) -> Iterator[tuple[int, list[int]]]:

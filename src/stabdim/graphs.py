@@ -143,7 +143,8 @@ def parse_edge_list(source: str | io.TextIOBase) -> Graph:
     """Parse the DIMACS-like edge-list format (see module docstring) by the line
     rules, the only reader that raises or names a line. ``source`` is a str or
     a text stream, read a window at a time either way. A dense list (8m >= n^2,
-    with room for m lines: a str of 6m characters, a file of 6m bytes) is first
+    with room for m lines: a str of 6m characters, a file of 6m bytes, or a
+    stream with no file whose end, found by a seek, lies at 6m or more) is first
     offered, once, to ``_bulk_rows`` from the line after its ``p`` line; if
     that declines, the line rules read on from there: the same graph or the
     same message either way."""
@@ -240,14 +241,22 @@ def _body(source: str | io.TextIOBase, mark: int, rest: str) -> Iterator[str]:
 
 
 def _size(source: str | io.TextIOBase) -> int:
-    """The length of a str; the size in bytes of a stream's file, 0 for a
-    stream with no file, which the bulk reader then never meets."""
+    """The length of a str; the size in bytes of a stream's file; for a stream
+    with no file, its end's position by a seek there and back (characters of an
+    ``io.StringIO``); 0 if it cannot seek, and the bulk reader never meets it."""
     if isinstance(source, str):
         return len(source)
     try:
         return os.fstat(source.fileno()).st_size
     except (AttributeError, OSError):
+        pass
+    try:
+        mark = source.tell()
+        size = source.seek(0, os.SEEK_END)
+        source.seek(mark)
+    except (AttributeError, OSError):
         return 0
+    return size
 
 
 def _bulk_rows(windows: Iterator[str], n: int, m: int) -> list[int] | None:
@@ -394,11 +403,14 @@ def twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]
 
     One pass buckets each vertex by the signature (popcount, lowest bit, bit
     length) of its open row, and by that of its closed row, which follows by
-    arithmetic: popcount + 1 and the extremes widened to ``a``. The leaves are
-    the popcounts of 1. No row is copied; ``_classes`` rereads only the rows
-    that share a signature.
+    arithmetic: popcount + 1 and the extremes widened to ``a``. Each signature
+    is one int, its three fields the digits of base n + 1, popcount highest.
+    The leaves are the popcounts of 1. No row is copied; ``_classes`` rereads
+    only the rows that share a signature.
     """
     adj = g.adj
+    radix = g.n + 1  # each field is at most n
+    top = radix * radix
     leaves: list[int] = []
     open_first, closed_first, open_shared, closed_shared = {}, {}, {}, {}
     for a, row in enumerate(adj):
@@ -408,16 +420,23 @@ def twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]
         if count == 1:
             leaves.append(a)
         # A list only for a signature met again: most vertices cost none.
-        signature = (count, low, length)
+        signature = count * top + low * radix + length
         b = open_first.setdefault(signature, a)
         if b != a:
             open_shared.setdefault(signature, [b]).append(a)
-        signature = (count + 1, low if low < a else a, length if length > a else a + 1)
+        # Bit a joins the closed row below its lowest bit or above its top one, or between.
+        if a < low:
+            signature -= (low - a) * radix
+        elif a >= length:
+            signature += a + 1 - length
+        signature += top
         b = closed_first.setdefault(signature, a)
         if b != a:
             closed_shared.setdefault(signature, [b]).append(a)
-    open_classes = _classes(open_shared, lambda members: map(adj.__getitem__, members))
-    return leaves, open_classes, _classes(closed_shared, partial(_closed_rows, adj))
+    # A signature below this one has a popcount of at most 2.
+    exact = 3 * top
+    open_classes = _classes(open_shared, exact, lambda members: map(adj.__getitem__, members))
+    return leaves, open_classes, _classes(closed_shared, exact, partial(_closed_rows, adj))
 
 
 def _closed_rows(adj: tuple[int, ...], members: list[int]) -> Iterator[int]:
@@ -425,23 +444,24 @@ def _closed_rows(adj: tuple[int, ...], members: list[int]) -> Iterator[int]:
     return map(int.__or__, map(adj.__getitem__, members), map((1).__lshift__, members))
 
 
-def _classes(shared: dict, rows_of) -> list[list[int]]:
+def _classes(shared: dict, exact: int, rows_of) -> list[list[int]]:
     """The classes of >= 2 vertices with equal rows, which ``rows_of(members)``
     gives in turn, each class ascending and ordered by first member: the one
     rule of both twin kinds.
 
-    ``shared`` maps a signature (popcount, lowest bit, bit length) to the
-    ascending vertices of two or more whose rows have it. A row of <= 2 bits
-    has no bit but its lowest and its top one, so its signature fixes it: such
-    a bucket is a class as it stands. A bucket of two rows with >= 3 bits is
-    a class if they are equal; a larger one is split by each row's residue
-    modulo ``_RESIDUE_PRIME``, which copies no row. Rows that share a residue
-    are a class if all are equal; only where they are not are they split
-    further, by ``_row_key`` bytes made for them alone.
+    ``shared`` maps a packed signature (popcount, lowest bit, bit length) to
+    the ascending vertices of two or more whose rows have it. A row of <= 2
+    bits has no bit but its lowest and its top one, so its signature, which
+    lies below ``exact``, fixes it: such a bucket is a class as it stands. A
+    bucket of two rows with >= 3 bits is a class if they are equal; a larger
+    one is split by each row's residue modulo ``_RESIDUE_PRIME``, which copies
+    no row. Rows that share a residue are a class if all are equal; only where
+    they are not are they split further, by ``_row_key`` bytes made for them
+    alone.
     """
     classes = []
-    for (count, _, _), members in shared.items():
-        if count <= 2:
+    for signature, members in shared.items():
+        if signature < exact:
             classes.append(members)
             continue
         if len(members) == 2:  # a sparse graph's usual shared bucket
@@ -495,10 +515,10 @@ def xorshift64star(seed: int) -> Iterator[int]:
         yield (s * 0x2545F4914F6CDD1D) & _MASK64
 
 
-def _random_tree_edges(n: int, rng: Iterator[int]) -> list[tuple[int, int]]:
-    # Uniform labeled tree from a random Pruefer sequence.
+def _random_tree_edges(n: int, rng: Iterator[int]) -> Iterator[tuple[int, int]]:
+    # Uniform labeled tree from a random Pruefer sequence, one edge at a time.
     if n == 1:
-        return []
+        return
     seq = [next(rng) % n for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
@@ -507,15 +527,12 @@ def _random_tree_edges(n: int, rng: Iterator[int]) -> list[tuple[int, int]]:
 
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
-    edges = []
     for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
+        yield heapq.heappop(leaves), v
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(leaves, v)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return edges
+    yield heapq.heappop(leaves), heapq.heappop(leaves)
 
 
 def check_family(family: str, n: int, p: float | None = None) -> None:
@@ -538,16 +555,16 @@ def generate(family: str, n: int, p: float | None = None, seed: int = 0) -> Grap
     path = 0-1-...-(n-1); cycle = path plus (n-1, 0); star = center 0 joined
     to all others; complete = all pairs; tree = uniform random labeled tree;
     gnp = each pair kept independently with probability p. ``check_family``
-    runs first, so its refusals come before any edge is built. complete and
-    gnp stream their edges into ``Graph.from_edges``: no edge list is held.
+    runs first, so its refusals come before any edge is built. Every family
+    streams its edges into ``Graph.from_edges``: no edge list is held.
     """
     check_family(family, n, p)
     if family == "path":
-        edges = [(i, i + 1) for i in range(n - 1)]
+        edges = ((i, i + 1) for i in range(n - 1))
     elif family == "cycle":
-        edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+        edges = chain(((i, i + 1) for i in range(n - 1)), [(n - 1, 0)])
     elif family == "star":
-        edges = [(0, i) for i in range(1, n)]
+        edges = ((0, i) for i in range(1, n))
     elif family == "complete":
         edges = ((u, v) for u in range(n) for v in range(u + 1, n))
     elif family == "tree":

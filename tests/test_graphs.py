@@ -517,6 +517,25 @@ class TestEdgeList:
         starts.clear()
         assert parse_edge_list(tree) == generate("tree", 30, seed=1) and starts == []
 
+    def test_a_string_stream_meets_the_bulk_reader_as_its_str_does(self, monkeypatch):
+        # A stream with no file behind it is sized by a seek to its end and
+        # back, so a dense canonical list in an io.StringIO is offered to the
+        # bulk reader once, as the str is; one that cannot seek never is.
+        class Unseekable(io.StringIO):
+            def seek(self, *args):
+                raise io.UnsupportedOperation("seek")
+
+        g = generate("gnp", 60, 0.9, seed=1)
+        text = encode_edge_list(g)
+        calls, bulk_rows = [], graphs._bulk_rows
+        monkeypatch.setattr(
+            graphs, "_bulk_rows", lambda *args: calls.append(args) or bulk_rows(*args)
+        )
+        for source, entries in ((text, 1), (io.StringIO(text), 1), (Unseekable(text), 0)):
+            calls.clear()
+            assert parse_edge_list(source) == g
+            assert len(calls) == entries
+
     def test_any_other_line_sends_the_whole_body_to_the_line_rules(self):
         # A comment, a blank line or an 'e' line with a trailing space after the
         # 'p' line makes the bulk reader decline, so every 'e' line meets the
@@ -856,7 +875,8 @@ class TestTwinClasses:
     @pytest.mark.parametrize("shape", ["path", "fan", "star"])
     def test_traced_peak_is_a_few_hundred_bytes_per_vertex(self, shape):
         # Bytes keys for every row would copy each row once per twin kind,
-        # 2300-4400 bytes a vertex here; the signature buckets take 170-310.
+        # 2300-4400 bytes a vertex here; the signature buckets took 170-290 as
+        # tuples of three ints and take 110-170 as one packed int.
         n = 16384
         if shape == "star":
             g = generate("star", n)
@@ -914,22 +934,36 @@ class TestGenerate:
             assert t.m == max(n - 1, 0)
             assert is_connected(t)
 
-    @pytest.mark.parametrize("family,p,seed", [("complete", None, 0), ("gnp", 0.5, 1)])
-    def test_quadratic_families_hold_no_edge_list(self, family, p, seed):
-        # An edge-tuple list for n = 300 peaks at 1.5-3 MiB; the rows alone
-        # take a few dozen KiB.
+    @pytest.mark.parametrize(
+        "family,p,seed",
+        [("complete", None, 0), ("gnp", 0.5, 1), ("path", None, 0), ("cycle", None, 0),
+         ("star", None, 0), ("tree", None, 1)],
+    )
+    def test_families_hold_no_edge_list(self, family, p, seed):
+        # Held edge tuples take 90-130 bytes a vertex beyond the rows: n - 1 of
+        # them for path, cycle, star and tree at n = 16384 (a tree's Pruefer
+        # sequence adds 40 more), and 150 or more for n = 300 on the quadratic
+        # families, whose edge lists peaked at 1.5-3 MiB. Streamed, 8-48.
+        n = 300 if family in ("complete", "gnp") else 16384
         tracemalloc.start()
         try:
-            g = generate(family, 300, p, seed)
-            peak = tracemalloc.get_traced_memory()[1]
+            g = generate(family, n, p, seed)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**19
-        pairs = [(u, v) for u in range(300) for v in range(u + 1, 300)]
+        assert peak - held < 64 * n
+        if family == "tree":
+            assert g.m == n - 1 and is_connected(g)
+            return
+        pairs = {
+            "path": [(i, i + 1) for i in range(n - 1)],
+            "cycle": [(i, (i + 1) % n) for i in range(n)],
+            "star": [(0, i) for i in range(1, n)],
+        }.get(family) or [(u, v) for u in range(n) for v in range(u + 1, n)]
         if family == "gnp":
             rng, threshold = xorshift64star(seed), int(p * 2**64)
             pairs = [e for e in pairs if next(rng) < threshold]
-        assert g == Graph.from_edges(300, pairs)
+        assert g == Graph.from_edges(n, pairs)
 
     def test_determinism(self):
         a = generate("gnp", 10, p=0.5, seed=7)
