@@ -241,15 +241,11 @@ def _body(source: str | io.TextIOBase, mark: int, rest: str) -> Iterator[str]:
 
 
 def _size(source: str | io.TextIOBase) -> int:
-    """The length of a str; the size in bytes of a stream's file; for a stream
-    with no file, its end's position by a seek there and back (characters of an
-    ``io.StringIO``); 0 if it cannot seek, and the bulk reader never meets it."""
+    """The length of a str; a stream's end position by a seek there and back
+    (bytes of a file, characters of an ``io.StringIO``); 0 if it cannot seek,
+    and the bulk reader never meets it."""
     if isinstance(source, str):
         return len(source)
-    try:
-        return os.fstat(source.fileno()).st_size
-    except (AttributeError, OSError):
-        pass
     try:
         mark = source.tell()
         size = source.seek(0, os.SEEK_END)
