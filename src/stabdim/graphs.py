@@ -180,14 +180,14 @@ def parse_edge_list(source: str | io.TextIOBase) -> Graph:
                     )
                 rows = [0] * n
                 if 8 * m >= n * n and _size(source) >= 6 * m:  # dense, room for m lines
-                    rest = window[lines.tell():]
+                    # The body: this window's rest, if any (an empty window is declined), then on.
+                    rest = [window[lines.tell():]] if lines.tell() < len(window) else []
                     lines.close()  # frees its buffer, 4 bytes a character, before a bulk read
-                    pos -= len(rest)
                     mark = pos if isinstance(source, str) else source.tell()
-                    dense = _bulk_rows(_body(source, mark, rest), n, m)
+                    dense = _bulk_rows(chain(rest, _windows(source, mark)), n, m)
                     if dense is not None:
                         return Graph._from_symmetric_rows(n, dense)
-                    windows = _body(source, mark, rest)  # on a decline, read it again
+                    windows = chain(rest, _windows(source, mark))  # on a decline, read it again
                     break
             elif kind == "e":
                 if n is None:
@@ -216,28 +216,23 @@ def parse_edge_list(source: str | io.TextIOBase) -> Graph:
     return Graph._from_symmetric_rows(n, rows)
 
 
-def _windows(source: str | io.TextIOBase, pos: int = 0) -> Iterator[str]:
-    """The windows of a str from index ``pos``, or of a stream from where it
-    stands: _WINDOW_CHARS characters and the rest of the line they end in,
-    cut at the next \\n of a str, or ``read(k)`` then ``readline()``."""
+def _windows(source: str | io.TextIOBase, mark: int | None = None) -> Iterator[str]:
+    """The windows of a str from index ``mark``, or of a stream from
+    ``seek(mark)``, made when first asked for; with no ``mark``, of the whole
+    str or of the stream from where it stands. Each is _WINDOW_CHARS characters
+    and the rest of the line they end in, cut at the next \\n of a str, or
+    ``read(k)`` then ``readline()``."""
     if isinstance(source, str):
+        pos = mark or 0
         while pos < len(source):
             stop = source.find("\n", pos + _WINDOW_CHARS) + 1 or len(source)
             yield source[pos:stop]
             pos = stop
     else:
+        if mark is not None:
+            source.seek(mark)
         while window := source.read(_WINDOW_CHARS):
             yield window + source.readline()
-
-
-def _body(source: str | io.TextIOBase, mark: int, rest: str) -> Iterator[str]:
-    """The windows from the line after the ``p`` line, each call anew: a str's
-    from index ``mark``; a stream's ``rest`` of the ``p`` line's window, then
-    from ``seek(mark)``, the ``tell()`` at that window's end."""
-    if isinstance(source, str):
-        return _windows(source, mark)
-    source.seek(mark)
-    return chain((rest,) if rest else (), _windows(source))
 
 
 def _size(source: str | io.TextIOBase) -> int:
@@ -402,7 +397,7 @@ def twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]
     arithmetic: popcount + 1 and the extremes widened to ``a``. Each signature
     is one int, its three fields the digits of base n + 1, popcount highest.
     The leaves are the popcounts of 1. No row is copied; ``_classes`` rereads
-    only the rows that share a signature.
+    only the rows of the buckets of two or more.
     """
     adj = g.adj
     radix = g.n + 1  # each field is at most n
@@ -429,10 +424,8 @@ def twin_classes(g: Graph) -> tuple[list[int], list[list[int]], list[list[int]]]
         b = closed_first.setdefault(signature, a)
         if b != a:
             closed_shared.setdefault(signature, [b]).append(a)
-    # A signature below this one has a popcount of at most 2.
-    exact = 3 * top
-    open_classes = _classes(open_shared, exact, lambda members: map(adj.__getitem__, members))
-    return leaves, open_classes, _classes(closed_shared, exact, partial(_closed_rows, adj))
+    open_classes = _classes(open_shared.values(), partial(map, adj.__getitem__))
+    return leaves, open_classes, _classes(closed_shared.values(), partial(_closed_rows, adj))
 
 
 def _closed_rows(adj: tuple[int, ...], members: list[int]) -> Iterator[int]:
@@ -440,48 +433,33 @@ def _closed_rows(adj: tuple[int, ...], members: list[int]) -> Iterator[int]:
     return map(int.__or__, map(adj.__getitem__, members), map((1).__lshift__, members))
 
 
-def _classes(shared: dict, exact: int, rows_of) -> list[list[int]]:
+def _classes(buckets, rows_of) -> list[list[int]]:
     """The classes of >= 2 vertices with equal rows, which ``rows_of(members)``
     gives in turn, each class ascending and ordered by first member: the one
     rule of both twin kinds.
 
-    ``shared`` maps a packed signature (popcount, lowest bit, bit length) to
-    the ascending vertices of two or more whose rows have it. A row of <= 2
-    bits has no bit but its lowest and its top one, so its signature, which
-    lies below ``exact``, fixes it: such a bucket is a class as it stands. A
-    bucket of two rows with >= 3 bits is a class if they are equal; a larger
-    one is split by each row's residue modulo ``_RESIDUE_PRIME``, which copies
-    no row. Rows that share a residue are a class if all are equal; only where
-    they are not are they split further, by ``_row_key`` bytes made for them
-    alone.
+    Each of ``buckets`` lists two or more ascending vertices whose rows may be
+    equal. A bucket whose rows all equal its first row is a class; one of two
+    unequal rows, a sparse graph's usual shared bucket, holds none. Any other
+    bucket is split by each row's residue modulo ``_RESIDUE_PRIME``, which
+    copies no row, and each part of two or more is judged by the same rule;
+    a part left unsettled there is split by ``_row_key`` bytes made for its
+    rows alone, and each part of those is a class.
     """
     classes = []
-    for signature, members in shared.items():
-        if signature < exact:
-            classes.append(members)
-            continue
-        if len(members) == 2:  # a sparse graph's usual shared bucket
-            first, second = rows_of(members)
-            if first == second:
-                classes.append(members)
-            continue
-        residues = list(map(_RESIDUE_PRIME.__rmod__, rows_of(members)))
-        if len(set(residues)) == len(residues):
-            continue  # rows of distinct residues all differ: a dense graph's usual bucket
-        by_residue: dict[int, list[int]] = {}
-        for a, residue in zip(members, residues):
-            by_residue.setdefault(residue, []).append(a)
-        for group in by_residue.values():
-            if len(group) < 2:
-                continue
-            rows = rows_of(group)
+    for key in (_RESIDUE_PRIME.__rmod__, _row_key):
+        unsettled = []
+        for members in buckets:
+            rows = rows_of(members)
             if all(map(next(rows).__eq__, rows)):  # each row against the first
-                classes.append(group)
-                continue
-            by_key: dict[bytes, list[int]] = {}
-            for a, key in zip(group, map(_row_key, rows_of(group))):
-                by_key.setdefault(key, []).append(a)
-            classes += [c for c in by_key.values() if len(c) > 1]
+                classes.append(members)
+            elif len(members) > 2:  # two unequal rows are no class
+                parts = {}
+                for a, k in zip(members, map(key, rows_of(members))):
+                    parts.setdefault(k, []).append(a)
+                unsettled += [part for part in parts.values() if len(part) > 1]
+        buckets = unsettled
+    classes += buckets  # rows of equal bytes are equal
     # The classes are disjoint, so their distinct first members decide the order.
     classes.sort()
     return classes

@@ -785,33 +785,38 @@ class TestTwinClasses:
         assert seen == []
 
     def test_rows_that_share_a_signature_and_a_residue_are_read_as_bytes(self, monkeypatch):
-        # Modulo 7, bit 6 is bit 3: of the open rows {0, 3, 9}, {0, 6, 9} and
-        # {0, 4, 9} of vertices 11, 12 and 13, which share their popcount,
-        # lowest bit and bit length, the first two share a residue, and only
-        # they become bytes. The ends 0 and 9 share their row, a bucket of two
-        # that one comparison makes a class.
+        # Modulo 7, bit 6 is bit 3: of the open rows {0, 3, 9}, {0, 6, 9},
+        # {0, 4, 9} and {0, 3, 9} of vertices 11 to 14, which share their
+        # popcount, lowest bit and bit length, all but 13's share a residue.
+        # That part's rows are not all equal, so only they become bytes, and
+        # 11 and 14 form a class. The ends 0 and 9 share their row, a bucket of
+        # two that one comparison makes a class.
         monkeypatch.setattr(graphs, "_RESIDUE_PRIME", 7)
         seen = self.count_row_keys(monkeypatch)
         edges = [(11, 0), (11, 3), (11, 9), (12, 0), (12, 6), (12, 9), (13, 0), (13, 4), (13, 9)]
-        g = Graph.from_edges(14, edges)
+        edges += [(14, 0), (14, 3), (14, 9)]
+        g = Graph.from_edges(15, edges)
         found = twin_classes(g)
         assert found == reference_twin_classes(g)
-        assert found[1] == [[0, 9]]
-        assert seen == [g.adj[11], g.adj[12]]
+        assert found[1] == [[0, 9], [11, 14]]
+        assert seen == [g.adj[11], g.adj[12], g.adj[14]]
 
     @pytest.mark.parametrize(
         "g",
         [
             generate("complete", 200),
             Graph.from_edges(200, [(u, v) for u in range(100) for v in range(100, 200)]),
+            Graph.from_edges(200, [(u, v) for u in (0, 199) for v in range(1, 199)]),
         ],
-        ids=["complete", "bipartite"],
+        ids=["complete", "bipartite", "k2"],
     )
     def test_equal_rows_and_rows_one_bit_apart_need_no_bytes(self, monkeypatch, g):
         # A complete graph's open rows are the full set less one bit each:
         # their int hashes collide in threes, their residues differ. Its
         # closed rows, and each side's open rows of a complete bipartite
-        # graph, are all equal: one residue and one class, with no bytes.
+        # graph, are all equal: one residue and one class, with no bytes. In
+        # K_{2,n-2} the n - 2 closed rows {0, a, n - 1} share one signature
+        # but are distinct rows of distinct residues.
         seen = self.count_row_keys(monkeypatch)
         assert twin_classes(g) == reference_twin_classes(g)
         assert seen == []
@@ -872,14 +877,17 @@ class TestTwinClasses:
         g = Graph.from_edges(n, edges)
         assert twin_classes(g) == reference_twin_classes(g)
 
-    @pytest.mark.parametrize("shape", ["path", "fan", "star"])
+    @pytest.mark.parametrize("shape", ["path", "fan", "star", "k2"])
     def test_traced_peak_is_a_few_hundred_bytes_per_vertex(self, shape):
         # Bytes keys for every row would copy each row once per twin kind,
         # 2300-4400 bytes a vertex here; the signature buckets took 170-290 as
-        # tuples of three ints and take 110-170 as one packed int.
+        # tuples of three ints and take 110-170 as one packed int. K_{2,n-2}
+        # splits one closed bucket of n - 2 distinct rows by residue: 200.
         n = 16384
         if shape == "star":
             g = generate("star", n)
+        elif shape == "k2":
+            g = Graph.from_edges(n, [(u, v) for u in (0, n - 1) for v in range(1, n - 1)])
         else:
             edges = [(i, i + 1) for i in range(n - 1)]
             if shape == "fan":
