@@ -11,7 +11,8 @@ Exit codes:
   0    success
   1    usage error
   2    parse error
-  3    constraint violation (disconnected input without --components, size caps)
+  3    constraint violation (disconnected input without --components, size caps,
+       out of memory)
   4    internal consistency failure (a route disagreement, which always means a bug)
   74   output error (a write to stdout failed)
   141  the reader closed stdout early
@@ -51,7 +52,7 @@ from .graphs import (
 )
 from .pauli import low_weight_elements
 from .oracle import ORACLE_CEILING
-from .theorem import check_elements, check_equivalence, check_routes
+from .theorem import check_equivalence, check_routes
 
 # --oracle-max-n defaults to DEFAULT_ORACLE_CAP, the largest n --components also
 # runs the oracle for, and stops at oracle.ORACLE_CEILING, checked before the
@@ -248,7 +249,7 @@ def _report(g: Graph, source: str, args, with_oracle: bool) -> int:
     # sums against the oracle whenever it is in reach.
     run_oracle = with_oracle or (args.components and g.n <= DEFAULT_ORACLE_CAP)
     nullity = oracle.local_algebra_nullity(g) if run_oracle else None
-    check_routes(g, a.dimension, a.g2, nullity)
+    check_routes(g, dimension=a.dimension, g2=a.g2, nullity=nullity)
     report = format_report(g, a, nullity, source, args.components, args.format)
     sys.stdout.writelines(_blocks(report))
     return 0
@@ -285,8 +286,7 @@ def _cmd_enumerate(args) -> int:
     modes = ("brute", "fast") if args.mode == "both" else (args.mode,)
     g, _ = _load_graph(args, ("enumeration", BRUTE_MAX_N) if "brute" in modes else None)
     results = {mode: low_weight_elements(g, mode=mode) for mode in modes}
-    if len(results) == 2:
-        check_elements(g, results["brute"], results["fast"])
+    check_routes(g, **results)  # each list under its route's name; one alone meets no rule
     elements = results[modes[0]]
     width = f"0{g.n}b"
     sys.stdout.writelines(_blocks(f"{format(e, width)[::-1]} {p}\n" for e, p in elements))
@@ -306,13 +306,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    """Every gate runs before any line is written, so exit 4 leaves stdout empty;
+    """Every gate call runs before any line is written, so exit 4 leaves stdout empty;
     the rows are the checks that no gate makes."""
     del args
     k2, star7, c5 = generate("complete", 2), generate("star", 7), generate("cycle", 5)
     rep2, rep7, rep5 = (check_equivalence(g, with_oracle=True) for g in (k2, star7, c5))
     for g in (k2, star7, c5, generate("path", 6), generate("complete", 5)):
-        check_elements(g, low_weight_elements(g, mode="brute"), low_weight_elements(g, mode="fast"))
+        check_routes(g, brute=low_weight_elements(g, "brute"), fast=low_weight_elements(g, "fast"))
     generators = sorted(map(str, map(lie_generator, detect_configurations(k2))))
     checks = (
         ("2-qubit graph state has stabilizer dimension 3", rep2.dimension == 3),
@@ -522,6 +522,10 @@ def run(argv=None) -> int:
         label, code = _FAILURES[type(exc)]
         _warn(f"{label}: {exc}")
         return code
+    except MemoryError:
+        pass  # warn below, once the failed call's frames are freed with its traceback
+    _warn("constraint violation: out of memory")
+    return 3
 
 
 def _warn(line: str) -> None:

@@ -5,8 +5,7 @@ and the exact statevector nullity must coincide on every connected graph
 with n >= 3. The unique connected 2-vertex graph is the boundary where the
 dimension is 3 but the rank is 2, so on any graph, component sums included,
 dimension - g2 is the number of single-edge components (``boundary_gap``).
-``check_routes`` is the one gate on that rule and on the oracle's nullity;
-``check_elements`` is the one gate on the brute and fast element lists.
+``check_routes`` is the one gate on every rule between the routes' values.
 """
 
 from __future__ import annotations
@@ -34,23 +33,21 @@ def boundary_gap(g: Graph) -> int:
     ) // 2
 
 
-def check_routes(g: Graph, dimension: int, g2: int, nullity: int | None) -> None:
-    """Raise ConsistencyError, a program fault, unless dimension - g2 == ``boundary_gap(g)``
-    (checked first) and nullity is None or dimension; the message ends with ``reproduction``."""
-    gap = boundary_gap(g)
-    if dimension - g2 != gap:
+def check_routes(g: Graph, *, dimension=None, g2=None, nullity=None, brute=None, fast=None) -> None:
+    """Raise ConsistencyError, a program fault, on the first rule the given values
+    break. Each value is one route's result, None if that route did not run; a
+    rule runs only when all its values are given. In order: dimension - g2 ==
+    ``boundary_gap(g)`` and nullity == dimension, whose messages end with
+    ``reproduction``, then brute == fast, the two element lists."""
+    if None not in (dimension, g2) and dimension - g2 != (gap := boundary_gap(g)):
         raise ConsistencyError(
             f"dimension {dimension} - g2 {g2} != expected gap {gap} on a graph with n={g.n} "
             f"({reproduction(g, dimension, g2, nullity)})"
         )
-    if nullity is not None and nullity != dimension:
+    if None not in (dimension, nullity) and nullity != dimension:
         detail = reproduction(g, dimension, g2, nullity)
         raise ConsistencyError(f"oracle nullity {nullity} != dimension {dimension} ({detail})")
-
-
-def check_elements(g: Graph, brute: list, fast: list) -> None:
-    """Raise ConsistencyError, a program fault, unless g's brute and fast lists are equal."""
-    if brute != fast:
+    if None not in (brute, fast) and brute != fast:
         detail = f"brute={len(brute)} fast={len(fast)}{graph6_detail(g)}"
         raise ConsistencyError(f"brute and fast enumerations disagree ({detail})")
 
@@ -61,11 +58,11 @@ def check_equivalence(g: Graph, with_oracle: bool = False) -> EquivalenceReport:
     Only the oracle is independent: dimension and g2 come from one detection pass."""
     a = require_core_input(analyze(g))
     nullity = oracle.local_algebra_nullity(g) if with_oracle else None
-    check_routes(g, a.dimension, a.g2, nullity)
+    check_routes(g, dimension=a.dimension, g2=a.g2, nullity=nullity)
     return EquivalenceReport(g.n, a.dimension, a.g2, nullity, a.dimension == a.g2)
 
 
-def reproduction(g: Graph, dimension: int, g2: int, nullity: int | None) -> str:
-    """Each route's value plus, when it fits, the input as graph6."""
-    shown = "not-run" if nullity is None else nullity
-    return f"dimension={dimension} g2={g2} oracle_nullity={shown}{graph6_detail(g)}"
+def reproduction(g: Graph, dimension: int | None, g2: int | None, nullity: int | None) -> str:
+    """Each route's value, ``not-run`` for None, plus, when it fits, the input as graph6."""
+    dimension, g2, nullity = ("not-run" if v is None else v for v in (dimension, g2, nullity))
+    return f"dimension={dimension} g2={g2} oracle_nullity={nullity}{graph6_detail(g)}"

@@ -131,5 +131,5 @@ def test_independent_brute_g2_at_fastpath_sizes(name):
     assert all(p.weight() == 2 for _, p in elements)
     # check_routes raises on a dimension/g2 mismatch.
     rep = check_equivalence(g)
-    check_routes(g, rep.dimension, g2, None)
+    check_routes(g, dimension=rep.dimension, g2=g2)
     assert rep.g2 == g2

@@ -1012,6 +1012,20 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith("parse error: cannot read")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--file", "fan.edges"], ["verify", "--graph6", "A_"]],
+        ids=["file", "graph6"],
+    )
+    def test_out_of_memory_is_a_constraint_violation(self, capsys, monkeypatch, argv):
+        # A reader that runs out of memory exits 3 with one line, not a traceback.
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_read_edge_list", exhausted)
+        monkeypatch.setattr(cli, "parse_graph6", exhausted)
+        assert run_capture(capsys, argv) == (3, "", "constraint violation: out of memory\n")
+
     def test_unknown_report_mode(self):
         g = generate("star", 3)
         with pytest.raises(ValueError, match=r"^unknown report mode 'json'$"):
@@ -1252,17 +1266,19 @@ class TestProcessExit:
         )
 
     def test_consistency_failure_exits_4(self):
+        # Each command's routes meet the one gate before anything is written.
         wrapper = (
             "from stabdim import cli\n"
-            "def disagree(*args):\n"
+            "def disagree(*args, **kwargs):\n"
             "    raise cli.ConsistencyError('routes disagree')\n"
             "cli.check_routes = disagree\n"
             "cli.main()"
         )
-        proc = run_process(["-c", wrapper, *self.MACHINE])
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            4, b"", b"internal consistency failure: routes disagree\n"
-        )
+        for argv in (self.MACHINE, ["enumerate", "--graph6", "A_"], ["selftest"]):
+            proc = run_process(["-c", wrapper, *argv])
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                4, b"", b"internal consistency failure: routes disagree\n"
+            ), argv
 
     def test_profiled_process_prints_its_stats(self, capsys):
         _, report, _ = run_capture(capsys, self.MACHINE)

@@ -13,6 +13,7 @@ from helpers import (
     corresponding_stabilizer_element,
     graph_generators,
     is_stabilized,
+    local_complement,
     pendant_graphs_strategy,
     rational_rank,
     relabel,
@@ -35,9 +36,11 @@ from stabdim.configurations import (
     stabilizer_dimension,
 )
 from stabdim.errors import ConstraintError
-from stabdim.graphs import Graph, generate
+from stabdim.graphs import Graph, bit_indices, generate, xorshift64star
 from stabdim.oracle import build_statevector, local_algebra_nullity
 from stabdim.pauli import element
+from stabdim.theorem import check_routes
+from test_brute import chorded_tree
 
 
 class TestDetect:
@@ -130,6 +133,46 @@ class TestDimension:
         pairs = [lie_generator(c) for c in detect_configurations(g)]
         rows = [coefficient_vector_row(slot_coefficient_vector(p, g.n)) for p in pairs]
         assert slot_span_rank(pairs) == rational_rank(rows)
+
+    def test_local_complementation_walks_keep_dimension_and_g2(self):
+        # Local complementation is a local Clifford map, so the dimension is the
+        # same all along a walk, at sizes no oracle reaches. A vertex of degree
+        # above 40 is skipped, so the graph stays sparse.
+        starts = [
+            generate("tree", 500, seed=21),
+            generate("tree", 1000, seed=22),
+            generate("tree", 2000, seed=23),
+            chorded_tree(1000, 30, seed=24),
+            chorded_tree(2000, 60, seed=25),
+            twin_rich_tree(500, seed=26),
+            twin_rich_tree(1000, seed=27),
+            twin_rich_tree(2000, seed=28),
+        ]
+        for seed, g in enumerate(starts):
+            a = analyze(g)
+            rng = xorshift64star(seed)
+            for _ in range(25):
+                v = next(rng) % g.n
+                if g.adj[v].bit_count() > 40:
+                    continue
+                g = local_complement(g, v)
+                h = analyze(g)
+                check_routes(g, dimension=h.dimension, g2=h.g2)
+                assert (h.dimension, h.g2) == (a.dimension, a.g2), (seed, v)
+
+
+def twin_rich_tree(n, seed):
+    """A random tree on n // 2 vertices plus n - n // 2 copies of its vertices,
+    each an open or a closed twin of the vertex it copies when it is made."""
+    rng = xorshift64star(seed)
+    rows = list(generate("tree", n // 2, seed=seed).adj)
+    for new in range(n // 2, n):
+        src = next(rng) % (n // 2)
+        row = rows[src] | (next(rng) & 1) << src
+        for v in bit_indices(row):
+            rows[v] |= 1 << new
+        rows.append(row)
+    return Graph(n, tuple(rows))
 
 
 class TestCorrespondingElement:

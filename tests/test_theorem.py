@@ -33,7 +33,7 @@ class TestCheckEquivalence:
         g = generate("cycle", 5)
         rep = check_equivalence(g, with_oracle=True)
         brute = brute_g2(g)
-        theorem.check_routes(g, rep.dimension, brute, rep.oracle_nullity)
+        theorem.check_routes(g, dimension=rep.dimension, g2=brute, nullity=rep.oracle_nullity)
         assert (rep.dimension, rep.g2, rep.holds, rep.oracle_nullity) == (0, 0, True, 0)
         assert brute == 0
 
@@ -41,7 +41,7 @@ class TestCheckEquivalence:
         g = generate("tree", 9, seed=5)
         rep = check_equivalence(g)
         brute = brute_g2(g)
-        theorem.check_routes(g, rep.dimension, brute, None)
+        theorem.check_routes(g, dimension=rep.dimension, g2=brute)
         assert brute == rep.g2
 
     def test_rejects_disconnected(self):
@@ -65,7 +65,7 @@ class TestCheckEquivalence:
         rep = check_equivalence(g, with_oracle=True)
         assert (rep.dimension, rep.g2, rep.holds) == (3, 2, False)
         brute = brute_g2(g)
-        theorem.check_routes(g, rep.dimension, brute, rep.oracle_nullity)
+        theorem.check_routes(g, dimension=rep.dimension, g2=brute, nullity=rep.oracle_nullity)
         assert brute == 2
 
     def test_mismatch_at_n2_other_than_boundary_raises(self, monkeypatch):
@@ -92,10 +92,10 @@ class TestBoundaryGap:
 
     def test_check_routes_passes_the_boundary_only(self):
         k2 = generate("complete", 2)
-        theorem.check_routes(k2, 3, 2, None)
-        theorem.check_routes(k2, 3, 2, 3)
+        theorem.check_routes(k2, dimension=3, g2=2)
+        theorem.check_routes(k2, dimension=3, g2=2, nullity=3)
         with pytest.raises(ConsistencyError, match=r"^dimension 3 - g2 3 != expected gap 1 "):
-            theorem.check_routes(k2, 3, 3, 3)
+            theorem.check_routes(k2, dimension=3, g2=3, nullity=3)
 
     def test_check_routes_gates_the_oracle_after_the_gap(self):
         k2 = generate("complete", 2)
@@ -104,22 +104,68 @@ class TestBoundaryGap:
             match=r"^oracle nullity 2 != dimension 3 "
             r"\(dimension=3 g2=2 oracle_nullity=2 graph6=A_\)$",
         ):
-            theorem.check_routes(k2, 3, 2, 2)
+            theorem.check_routes(k2, dimension=3, g2=2, nullity=2)
         # A run that breaks both rules names the gap.
         with pytest.raises(ConsistencyError, match=r"^dimension 3 - g2 3 != expected gap 1 "):
-            theorem.check_routes(k2, 3, 3, 2)
+            theorem.check_routes(k2, dimension=3, g2=3, nullity=2)
 
 
 class TestCheckElements:
     def test_names_each_count_and_the_input(self):
         k2 = generate("complete", 2)
         elements = low_weight_elements(k2, "brute")
-        theorem.check_elements(k2, elements, low_weight_elements(k2, "fast"))
+        theorem.check_routes(k2, brute=elements, fast=low_weight_elements(k2, "fast"))
         with pytest.raises(
             ConsistencyError,
             match=r"^brute and fast enumerations disagree \(brute=3 fast=2 graph6=A_\)$",
         ):
-            theorem.check_elements(k2, elements, elements[:2])
+            theorem.check_routes(k2, brute=elements, fast=elements[:2])
+
+
+class TestCheckRoutes:
+    GAP = "dimension 3 - g2 3 != expected gap 1 on a graph with n=2 (dimension=3 g2=3 "
+    ORACLE = "oracle nullity 2 != dimension 3 (dimension=3 "
+    ELEMENTS = "brute and fast enumerations disagree (brute=1 fast=0 graph6=A_)"
+    EVERY_RULE_BROKEN = dict(dimension=3, g2=3, nullity=2, brute=[1], fast=[])
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            (dict(dimension=3, g2=3), GAP + "oracle_nullity=not-run graph6=A_)"),
+            (dict(dimension=3, g2=2, nullity=2), ORACLE + "g2=2 oracle_nullity=2 graph6=A_)"),
+            (dict(brute=[1], fast=[]), ELEMENTS),
+            # Rules run in order: the gap rule wins over the oracle and element rules.
+            (dict(dimension=3, g2=3, nullity=2), GAP + "oracle_nullity=2 graph6=A_)"),
+            (EVERY_RULE_BROKEN, GAP + "oracle_nullity=2 graph6=A_)"),
+            ({**EVERY_RULE_BROKEN, "g2": 2}, ORACLE + "g2=2 oracle_nullity=2 graph6=A_)"),
+            # A None value skips every rule that reads it.
+            ({**EVERY_RULE_BROKEN, "g2": None}, ORACLE + "g2=not-run oracle_nullity=2 graph6=A_)"),
+            ({**EVERY_RULE_BROKEN, "dimension": None}, ELEMENTS),
+            ({**EVERY_RULE_BROKEN, "dimension": None, "fast": None}, None),
+            ({**EVERY_RULE_BROKEN, "g2": None, "nullity": None, "brute": None}, None),
+            (dict(dimension=3, g2=2, nullity=3, brute=[1], fast=[1]), None),
+            (dict(dimension=99), None),
+            (dict(fast=[]), None),
+            ({}, None),
+        ],
+        ids=[
+            "gap", "oracle", "elements", "gap-before-oracle", "gap-first", "oracle-next",
+            "no-g2", "no-dimension", "no-dimension-or-fast", "dimension-and-fast-only",
+            "all-agree", "dimension-only", "fast-only", "none",
+        ],
+    )
+    def test_each_rule_raises_its_message_when_its_values_are_given(self, values, message):
+        k2 = generate("complete", 2)
+        if message is None:
+            theorem.check_routes(k2, **values)
+            return
+        with pytest.raises(ConsistencyError) as caught:
+            theorem.check_routes(k2, **values)
+        assert str(caught.value) == message
+
+    def test_values_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            theorem.check_routes(generate("complete", 2), 3, 2, None)
 
 
 class TestReproduction:
@@ -189,7 +235,7 @@ class TestTripleAgreement:
     def test_dimension_g2_nullity(self, g):
         rep = check_equivalence(g, with_oracle=True)
         brute = brute_g2(g)
-        theorem.check_routes(g, rep.dimension, brute, rep.oracle_nullity)
+        theorem.check_routes(g, dimension=rep.dimension, g2=brute, nullity=rep.oracle_nullity)
         assert rep.holds and rep.oracle_nullity == rep.dimension == brute
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -200,7 +246,7 @@ class TestTripleAgreement:
                 continue
             rep = check_equivalence(g, with_oracle=True)
             brute = brute_g2(g)
-            theorem.check_routes(g, rep.dimension, brute, rep.oracle_nullity)
+            theorem.check_routes(g, dimension=rep.dimension, g2=brute, nullity=rep.oracle_nullity)
             assert rep.oracle_nullity == rep.dimension
             assert rep.holds == (rep.dimension == brute) == (g.n != 2)
             assert low_weight_elements(g, "brute") == low_weight_elements(g, "fast")
