@@ -343,8 +343,16 @@ def check_graph6_size(n: int) -> None:
 
 
 def graph6_detail(g: Graph) -> str:
-    """`` graph6=<g>`` when g fits graph6's one-byte size form (n <= 62), else empty."""
-    return f" graph6={encode_graph6(g)}" if g.n <= GRAPH6_MAX_N else ""
+    """`` graph6=<g>`` when g fits graph6's one-byte size form (n <= 62), else
+    `` edge_list_sha256=<hex>``, the digest of the edge list ``gen`` writes for g."""
+    if g.n <= GRAPH6_MAX_N:
+        return f" graph6={encode_graph6(g)}"
+    import hashlib  # only a failure past n = 62 pays for this import
+
+    digest = hashlib.sha256()
+    for chunk in edge_list_chunks(g):
+        digest.update(chunk.encode())
+    return f" edge_list_sha256={digest.hexdigest()}"
 
 
 def encode_graph6(g: Graph) -> str:

@@ -57,6 +57,16 @@ def test_exports_exactly_the_documented_names():
         assert getattr(stabdim, name) is not None
 
 
+def test_version_has_one_owner():
+    # pyproject.toml reads the version from the package, so the two cannot drift.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "stabdim.__version__"}
+    assert isinstance(stabdim.__version__, str)
+
+
 def test_readme_library_example():
     # Each "expression  # value" line of the example becomes an assertion.
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
@@ -140,9 +150,12 @@ def test_pauli_phase_is_reduced_mod_4():
 def test_importing_the_cli_loads_no_heavy_module():
     # Every CLI job pays its imports: no module in src/ imports fractions,
     # the machine report is formatted without json, the records need no
-    # dataclasses, and the command line is read without argparse (or the
-    # gettext it loads). The library verdict with the oracle loads none of them either.
-    heavy = ["dataclasses", "inspect", "fractions", "decimal", "json", "argparse", "gettext"]
+    # dataclasses, the command line is read without argparse (or the gettext
+    # it loads), and only an exit-4 line past n = 62 imports hashlib. The
+    # library verdict with the oracle loads none of them either.
+    heavy = [
+        "dataclasses", "inspect", "fractions", "decimal", "json", "argparse", "gettext", "hashlib",
+    ]
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import stabdim.cli; "
         "stabdim.cli.run(['analyze', '--graph6', 'A_', '--format', 'machine']); "

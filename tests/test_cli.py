@@ -344,6 +344,22 @@ class TestRouteFaults:
         monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g: 99)
         assert run_capture(capsys, argv) == (4, "", f"internal consistency failure: {err}\n")
 
+    def test_input_past_graph6_is_named_by_its_edge_list_digest(self, capsys, monkeypatch):
+        # n = 63 has no one-byte graph6, so the line carries the sha256 of what
+        # gen writes for the same input: `stabdim gen ... | sha256sum`.
+        gen = ["gen", "--family", "path", "--n", "63", "--format", "edge-list"]
+        digest = hashlib.sha256(run_capture(capsys, gen)[1].encode()).hexdigest()
+        real = cli.analyze
+        monkeypatch.setattr(
+            cli, "analyze", lambda g: (a := real(g))._replace(dimension=a.dimension + 1)
+        )
+        assert run_capture(capsys, ["analyze", "--family", "path", "--n", "63"]) == (
+            4,
+            "",
+            "internal consistency failure: dimension 3 - g2 2 != expected gap 0 on a graph "
+            f"with n=63 (dimension=3 g2=2 oracle_nullity=not-run edge_list_sha256={digest})\n",
+        )
+
     def test_library_raises_the_cli_text(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "local_algebra_nullity", lambda g: 99)
         code, _, err = run_capture(capsys, ["verify", "--family", "star", "--n", "5"])
@@ -376,6 +392,15 @@ class TestEnumerate:
             "0101 +IXIX",
             "0011 +IIXX",
         ]
+
+    @pytest.mark.parametrize("family,n", [("star", 7), ("path", 6)])
+    def test_modes_write_the_same_bytes(self, capsys, family, n):
+        outputs = [
+            run_capture(capsys, ["enumerate", "--family", family, "--n", str(n), "--mode", mode])
+            for mode in ("both", "brute", "fast")
+        ]
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs[1] == outputs[2] == outputs[0]
 
     def test_over_cap(self, capsys):
         code, _, _ = run_capture(
@@ -716,10 +741,13 @@ class TestByteOrderMark:
 
     @pytest.mark.parametrize("text", [CANONICAL, LOOSE], ids=["canonical", "loose"])
     def test_leading_mark_gives_the_same_report(self, capsys, tmp_path, text):
+        # The dense canonical list meets the bulk reader, the loose one the line
+        # rules; both give one report.
+        canonical = self.machine_report(capsys, tmp_path, self.CANONICAL.encode())
         plain = self.machine_report(capsys, tmp_path, text.encode())
         marked = self.machine_report(capsys, tmp_path, b"\xef\xbb\xbf" + text.encode())
         assert plain[0] == 0 and json.loads(plain[1])["n"] == 12
-        assert marked == plain
+        assert marked == plain == canonical
 
     @pytest.mark.parametrize(
         "text,err",
@@ -1070,6 +1098,13 @@ class TestGrammar:
         assert (code, err) == (0, "")
         assert run_capture(capsys, [*argv, "--seed=-5"]) == (0, out, "")
 
+    @pytest.mark.parametrize("form", [["--p", "-.5"], ["--p=-.5"]], ids=["space", "equals"])
+    def test_dotted_negative_number_is_a_value(self, capsys, form):
+        # argparse's -\d*\.\d+$ reads "-.5" as a number, so gnp meets it and refuses it.
+        assert run_capture(capsys, ["gen", "--family", "gnp", "--n", "4", *form]) == (
+            3, "", "constraint violation: gnp needs a probability p in [0, 1], got -0.5\n"
+        )
+
     @pytest.mark.parametrize(
         "argv,err",
         [
@@ -1092,6 +1127,9 @@ class TestGrammar:
             (["analyze", "--n", "x"], "argument --n: invalid int value: 'x'"),
             (["analyze", "--family", "gnp", "--n", "4", "--p=x"],
              "argument --p: invalid float value: 'x'"),
+            # "-1." is no number to argparse's -\d*\.\d+$, so it is an option.
+            (["gen", "--family", "gnp", "--n", "4", "--p", "-1."],
+             "argument --p: expected one argument"),
             ([], "the following arguments are required: command"),
             (["analyze", "--format", "json", "--help"],
              "argument --format: invalid choice: 'json' (choose from 'text', 'machine')"),
@@ -1104,7 +1142,8 @@ class TestGrammar:
         ],
         ids=[
             "ambiguous", "dash-value", "no-value", "flag-value", "stray", "stray-before-command",
-            "choice", "mode-choice", "command", "int", "float", "nothing", "error-before-help",
+            "choice", "mode-choice", "command", "int", "float", "trailing-dot", "nothing",
+            "error-before-help",
             "help-with-text", "after-marker", "marker-as-command",
         ],
     )

@@ -36,7 +36,13 @@ from stabdim.configurations import (
     stabilizer_dimension,
 )
 from stabdim.errors import ConstraintError
-from stabdim.graphs import Graph, bit_indices, generate, xorshift64star
+from stabdim.graphs import (
+    Graph,
+    bit_indices,
+    connected_components,
+    generate,
+    xorshift64star,
+)
 from stabdim.oracle import build_statevector, local_algebra_nullity
 from stabdim.pauli import element
 from stabdim.theorem import check_routes
@@ -89,6 +95,36 @@ class TestLieGenerator:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match=r"^unknown configuration kind 'bogus'$"):
             lie_generator(Configuration("bogus", 0, 1))
+
+
+def twin_rich_tree(n, seed):
+    """A random tree on n // 2 vertices plus n - n // 2 copies of its vertices,
+    each an open or a closed twin of the vertex it copies when it is made."""
+    rng = xorshift64star(seed)
+    rows = list(generate("tree", n // 2, seed=seed).adj)
+    for new in range(n // 2, n):
+        src = next(rng) % (n // 2)
+        row = rows[src] | (next(rng) & 1) << src
+        for v in bit_indices(row):
+            rows[v] |= 1 << new
+        rows.append(row)
+    return Graph(n, tuple(rows))
+
+
+def giant_component(n, seed):
+    """The largest component of gnp at p = 3 / n: about 0.94 n vertices, with
+    many leaves and twins."""
+    g = generate("gnp", n, 3 / n, seed)
+    return g.induced_subgraph(max(connected_components(g), key=len))
+
+
+# Sparse connected starts for the local-complementation walks.
+WALK_STARTS = {
+    "tree": lambda n, seed: generate("tree", n, seed=seed),
+    "chorded-tree": lambda n, seed: chorded_tree(n, n // 30, seed),
+    "twin-rich-tree": twin_rich_tree,
+    "gnp": giant_component,
+}
 
 
 class TestDimension:
@@ -160,19 +196,29 @@ class TestDimension:
                 check_routes(g, dimension=h.dimension, g2=h.g2)
                 assert (h.dimension, h.g2) == (a.dimension, a.g2), (seed, v)
 
-
-def twin_rich_tree(n, seed):
-    """A random tree on n // 2 vertices plus n - n // 2 copies of its vertices,
-    each an open or a closed twin of the vertex it copies when it is made."""
-    rng = xorshift64star(seed)
-    rows = list(generate("tree", n // 2, seed=seed).adj)
-    for new in range(n // 2, n):
-        src = next(rng) % (n // 2)
-        row = rows[src] | (next(rng) & 1) << src
-        for v in bit_indices(row):
-            rows[v] |= 1 << new
-        rows.append(row)
-    return Graph(n, tuple(rows))
+    @given(
+        st.sampled_from(sorted(WALK_STARTS)),
+        st.integers(200, 1000),
+        st.integers(0, 2**32),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_local_complementation_walks_from_relabelled_starts(self, kind, n, seed, rnd):
+        # The same invariant from any labelling of a sparse start, with the
+        # walk's vertices drawn by hypothesis, so a failure shrinks to a short walk.
+        g = WALK_STARTS[kind](n, seed)
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        g = relabel(g, perm)
+        a = analyze(g)
+        for _ in range(15):
+            v = rnd.randrange(g.n)
+            if g.adj[v].bit_count() > 40:
+                continue
+            g = local_complement(g, v)
+            h = analyze(g)
+            check_routes(g, dimension=h.dimension, g2=h.g2)
+            assert (h.dimension, h.g2) == (a.dimension, a.g2), v
 
 
 class TestCorrespondingElement:

@@ -361,13 +361,17 @@ class TestEdgeList:
         # The line rules read each endpoint with int(); the bulk reader reads a
         # dense list's from its tables, so only the 'p' line's two counts call
         # int() with one argument (the transposition calls int(s, 2)), after a
-        # leading comment and with CRLF endings too. End of text is a line end,
-        # so a last 'e' line without its newline is read from the tables too.
-        # Every 'e' line of a sparse list meets the line rules.
+        # leading comment, after a header of comments and a blank line, and with
+        # CRLF endings too. End of text is a line end, so a last 'e' line
+        # without its newline is read from the tables too. Every 'e' line of a
+        # sparse list meets the line rules.
         calls = []
         expected = 2 if 8 * g.m >= g.n**2 else 2 + 2 * g.m
         text = encode_edge_list(g)
-        variants = (text, text.replace("\n", "\r\n"), "c header\n" + text, text.rstrip("\n"))
+        variants = (
+            text, text.replace("\n", "\r\n"), "c header\n" + text, "c one\nc two\n\n" + text,
+            text.rstrip("\n"),
+        )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graphs, "_WINDOW_CHARS", window_chars)
             for variant in variants:
@@ -483,6 +487,8 @@ class TestEdgeList:
         message = f"line {int(m) + 2}: duplicate edge {tuple(map(int, lines[-1].split()[1:]))}"
         assert outcome(parse_edge_list, text) == (GraphParseError, message)
         assert len(calls) == entries
+        # Doubled spaces send every line to the line rules, which name the same line.
+        assert outcome(parse_edge_list, text.replace(" ", "  ")) == (GraphParseError, message)
 
     @pytest.mark.parametrize("window_chars", WINDOW_CHARS)
     @pytest.mark.parametrize("header", ["", "c x\n", "c x\r"], ids=["bare", "lf", "cr"])

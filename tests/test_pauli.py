@@ -202,8 +202,10 @@ class TestLowWeight:
             ("fast", generate("path", 3), "100", " graph6=Bg"),
             # Vertex 0 is isolated, so its weight-1 generator passes; vertex 1's does not.
             ("brute", Graph.from_edges(3, [(1, 2)]), "010", " graph6=BG"),
-            # Past graph6's one-byte size form (n <= 62) the input is not shown.
-            ("brute", generate("path", 63), "1" + "0" * 62, ""),
+            # Past graph6's one-byte size form (n <= 62) the sha256 of
+            # `stabdim gen --family path --n 63 --format edge-list` names it.
+            ("brute", generate("path", 63), "1" + "0" * 62,
+             " edge_list_sha256=600a10aaa72fdcd1ab27e73bf7a352703d9a957e560b10902c4d6fa00733e3ec"),
         ],
         ids=["brute", "fast", "brute-disconnected", "brute-n63"],
     )

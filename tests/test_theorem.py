@@ -1,5 +1,7 @@
 """Cross-route equivalence reports and the two support-structure properties."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +16,7 @@ from helpers import (
 from stabdim import theorem
 from stabdim.configurations import analyze
 from stabdim.errors import ConsistencyError, ConstraintError
-from stabdim.graphs import Graph, encode_graph6, generate, is_connected
+from stabdim.graphs import Graph, encode_edge_list, encode_graph6, generate, is_connected
 from stabdim.pauli import low_weight_elements
 from stabdim.theorem import EquivalenceReport, check_equivalence
 
@@ -174,8 +176,12 @@ class TestReproduction:
         assert theorem.reproduction(p62, 2, 1, None) == (
             f"dimension=2 g2=1 oracle_nullity=not-run graph6={encode_graph6(p62)}"
         )
+        # Past it, the sha256 of the edge list that gen writes names the input.
         p63 = generate("path", 63)
-        assert theorem.reproduction(p63, 2, 2, 5) == "dimension=2 g2=2 oracle_nullity=5"
+        digest = hashlib.sha256(encode_edge_list(p63).encode()).hexdigest()
+        assert theorem.reproduction(p63, 2, 2, 5) == (
+            f"dimension=2 g2=2 oracle_nullity=5 edge_list_sha256={digest}"
+        )
 
 
 class TestSupportPairs:
